@@ -30,7 +30,8 @@ Subcommands (each prints one JSON line):
 - ``filters`` : build per-bucket key Bloom sidecars so absent-key
   point lookups skip bucket reads entirely.
 - ``scan``    : predicate-pushdown live read (``--where col=value``,
-  repeatable; equality only from the CLI) printing the match count.
+  repeatable; equality only from the CLI, the value cast to the column's
+  type) printing the match count.
 - ``metrics`` : per-batch / totals rollup from lineage.
 """
 
@@ -188,12 +189,22 @@ def main(argv=None) -> int:
         elif args.command == "scan":
             if not args.where:
                 p.error("scan requires at least one --where col=value")
+            import pyarrow as pa
+
+            schema = eng.spec.canonical_schema(eng.ckpt.evolved)
             preds = []
             for w in args.where:
                 if "=" not in w:
                     p.error(f"bad --where {w!r}: expected col=value")
                 c, v = w.split("=", 1)
-                preds.append((c, "==", v))
+                if c not in schema.names:
+                    p.error(f"bad --where {w!r}: unknown column {c!r}")
+                typ = schema.field(c).type
+                try:
+                    value = pa.scalar(v).cast(typ).as_py()
+                except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+                    p.error(f"bad --where {w!r}: {v!r} is not a {typ} value")
+                preds.append((c, "==", value))
             out = {"where": args.where, "rows": eng.scan(preds).count()}
         elif args.command == "filters":
             out = eng.build_lookup_filters()

@@ -439,7 +439,8 @@ def grouped_heavy_hitters(
 
     The per-block partial id is CONTENT-derived (not a uuid), so task
     retries reproduce byte-identical partials — the engine-wide
-    determinism discipline."""
+    determinism discipline. Byte-identical blocks therefore share an id;
+    the fold counts each such block's dropped mass once per block."""
     import hashlib as _hashlib
 
     from glue_etl_pipeline_ray.functions.groups import grouped_apply
@@ -479,8 +480,7 @@ def grouped_heavy_hitters(
         ).drop("__rn")
         t = out.to_arrow()
         bid = _hashlib.sha1(
-            repr((t.num_rows, t["__w"].to_pylist()[:64],
-                  t[key_col].to_pylist()[:64])).encode()
+            repr([t[c].to_pylist() for c in t.column_names]).encode()
         ).hexdigest()[:16]
         return t.append_column(
             "__bid", pa.array([bid] * t.num_rows, pa.string())
@@ -499,13 +499,19 @@ def grouped_heavy_hitters(
             g["__bid"].to_pylist(),
         ):
             totals[key] = totals.get(key, 0) + int(w)
-            rec = drops.setdefault(bid, [int(d), set()])
-            rec[1].add(key)
+            # identical blocks share a bid and emit each (group, key)
+            # row once apiece: a key's row count is the bid's block count
+            rec = drops.setdefault(bid, [int(d), {}])
+            rec[1][key] = rec[1].get(key, 0) + 1
         top = sorted(totals.items(), key=lambda kv: (-kv[1], str(kv[0])))[:k]
         rows = {group_col: [], "key": [], "count_min": [], "count_max": [],
                 "rank": []}
         for rank, (key, cmin) in enumerate(top, 1):
-            slack = sum(d for d, seen in drops.values() if key not in seen)
+            slack = sum(
+                d * max(seen.values())
+                for d, seen in drops.values()
+                if key not in seen
+            )
             rows[group_col].append(gval)
             rows["key"].append(key)
             rows["count_min"].append(cmin)

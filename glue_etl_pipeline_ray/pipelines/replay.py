@@ -1881,7 +1881,8 @@ class ReplayEngine:
         of one lake pairs with bucket ``b`` of the other — one
         ``snapshot_diff`` task per bucket, zero cross-bucket traffic.
         Mismatched layouts raise (reshard one side first) rather than
-        silently shipping an all-to-all. State modes may differ per
+        silently shipping an all-to-all, and so do base payload columns
+        that differ in name, order or type. State modes may differ per
         side. Schemas are unified additively (the union of both lakes'
         evolved columns, sorted by name; a same-name type conflict
         raises as ambiguous), so a column only one side evolved shows
@@ -1900,6 +1901,13 @@ class ReplayEngine:
             )
         if tuple(self.spec.key_cols) != tuple(other.spec.key_cols):
             raise ValueError("diff_with needs matching key columns")
+        mine, theirs = self.spec.canonical_schema(), other.spec.canonical_schema()
+        if not mine.equals(theirs):
+            raise ValueError(
+                "diff_with needs matching payload columns "
+                f"({[(f.name, str(f.type)) for f in theirs]} vs "
+                f"{[(f.name, str(f.type)) for f in mine]})"
+            )
         ev: dict[str, str] = dict(other.ckpt.evolved)
         for name, tn in self.ckpt.evolved:
             if ev.get(name, tn) != tn:
@@ -2601,7 +2609,8 @@ class ReplayEngine:
             )
             os.makedirs(out_dir, exist_ok=True)
             for name in filenames:
-                if name.endswith(".tmp") or name == "WRITER_LOCK":
+                # temp files a crashed commit left: <name>.tmp.<pid>
+                if name.endswith(".tmp") or ".tmp." in name or name == "WRITER_LOCK":
                     continue
                 src = os.path.join(dirpath, name)
                 dst = os.path.join(out_dir, name)

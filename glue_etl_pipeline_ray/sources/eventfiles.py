@@ -16,17 +16,29 @@ map tasks:
 
 The splitter resyncs after a bad span by scanning forward to the next
 ``{`` that starts a decodable object, so one corrupt record costs exactly
-its own bytes.
+its own bytes. It tries a decode only where a JSON value can start, and
+inside a corrupt span it reads a copy of the blob that starts in the
+span, so a span costs time about linear in its length, not its length
+times its offset in the blob.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pyarrow as pa
 
 import ray.data
 from ray.data import Dataset
+
+
+# where ``json`` can start reading a value (NaN and Infinity included);
+# raw_decode fails at every other position
+_VALUE_START = re.compile(
+    r'[\["0-9]|\{[ \t\n\r]*["}]|-(?:[0-9]|Infinity)|true|false|null|NaN|Infinity'
+)
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
 def split_concat_json(blob: str) -> tuple[list[dict], list[str]]:
@@ -38,25 +50,41 @@ def split_concat_json(blob: str) -> tuple[list[dict], list[str]]:
     bad: list[str] = []
     i, n = 0, len(blob)
     bad_start: int | None = None
+    # what raw_decode reads: the blob, or a copy of its tail from `base`
+    doc, base = blob, 0
     while i < n:
-        try:
-            obj, end = dec.raw_decode(blob, i)
-        except ValueError:
-            if bad_start is None:
-                bad_start = i
-            i += 1
-            continue
+        if bad_start is None:
+            # whitespace between values; strip() drops it from a span anyway
+            i = _WHITESPACE.match(blob, i).end()
+            if i == n:
+                break
+        obj = end = None
+        if _VALUE_START.match(blob, i):
+            try:
+                obj, end = dec.raw_decode(doc, i - base)
+                end += base
+            except ValueError:
+                # the error counts the newlines before its position in
+                # what was read: until this span ends, read a copy that
+                # starts here, so a long corrupt span is not quadratic
+                if doc is blob:
+                    doc, base = blob[i:], i
         if not isinstance(obj, dict):
-            # bare scalars between objects count as malformed span bytes
+            # failed decodes and bare scalars count as malformed span bytes
             if bad_start is None:
                 bad_start = i
-            i = end
+            if end is None:
+                nxt = _VALUE_START.search(blob, i + 1)
+                i = n if nxt is None else nxt.start()
+            else:
+                i = end
             continue
         if bad_start is not None:
             span = blob[bad_start:i].strip()
             if span:
                 bad.append(span)
             bad_start = None
+            doc, base = blob, 0
         events.append(obj)
         i = end
     if bad_start is not None:

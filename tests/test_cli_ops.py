@@ -15,14 +15,18 @@ from glue_etl_pipeline_ray.gen import generate_change_events
 ENV = dict(os.environ, PYTHONPATH="/root/repo")
 
 
-def _cli(*cmd):
-    r = subprocess.run(
+def _run(*cmd):
+    return subprocess.run(
         [sys.executable, "-m", "glue_etl_pipeline_ray.cli", *cmd],
         capture_output=True,
         text=True,
         env=ENV,
-        cwd="/root/repo",
+        cwd=ENV["PYTHONPATH"],
     )
+
+
+def _cli(*cmd):
+    r = _run(*cmd)
     assert r.returncode == 0, r.stderr[-2000:]
     return json.loads(r.stdout.strip().splitlines()[-1])
 
@@ -54,3 +58,33 @@ def test_cli_replay_fsck_merge_reshard_verify(ray_session, tmp_path):
               "--num-cpus", "4")
     assert v1["sha256"] == v2["sha256"]
     assert v1["n_live"] == v2["n_live"] > 0
+
+
+def test_cli_scan_casts_where_to_column_type(ray_session, tmp_path):
+    """``--where`` on an int column compares ints, not a string literal;
+    a value the column type cannot hold exits with a usage error."""
+    from glue_etl_pipeline_ray.pipelines.replay import ReplayEngine
+    from glue_etl_pipeline_ray.spec import repo_file_spec
+
+    meta = generate_change_events(
+        str(tmp_path / "gen"), n_events=2000, n_batches=3,
+        evolve_from_batch=1, seed=13,
+    )
+    lake = str(tmp_path / "lake")
+    eng = ReplayEngine(repo_file_spec(num_buckets=8), lake)
+    eng.replay(meta["events_dir"])
+    assert dict(eng.ckpt.evolved)["size_bytes"] == "int64"
+    value = eng.final_table()["size_bytes"].drop_null()[0].as_py()
+    want = eng.scan([("size_bytes", "==", value)]).count()
+    assert want > 0
+    out = _cli(
+        "scan", "--lake", lake, "--num-buckets", "8", "--num-cpus", "1",
+        "--where", f"size_bytes={value}",
+    )
+    assert out["rows"] == want
+    r = _run(
+        "scan", "--lake", lake, "--num-buckets", "8", "--num-cpus", "1",
+        "--where", "size_bytes=big",
+    )
+    assert r.returncode == 2
+    assert "'big' is not a int64 value" in r.stderr

@@ -79,3 +79,21 @@ def test_clone_refuses_nonempty_dest_and_empty_source(tmp_path, ray_session):
     (dest / "stray.txt").write_text("x")
     with pytest.raises(ValueError, match="not empty"):
         eng.clone(str(dest))
+
+
+def test_clone_skips_crashed_commit_temp_files(tmp_path, ray_session):
+    """A crashed commit leaves ``<name>.tmp.<pid>`` files; the clone
+    must not carry them over."""
+    meta = _gen(tmp_path, n_batches=2)
+    eng = ReplayEngine(repo_file_spec(num_buckets=8), str(tmp_path / "lake"))
+    eng.replay(meta["events_dir"])
+    planted = [
+        tmp_path / "lake" / "part-00000-v00009.parquet.tmp.4242",
+        tmp_path / "lake" / "_checkpoint" / "manifest.json.tmp.4242",
+    ]
+    for f in planted:
+        f.write_text("debris")
+    clone = eng.clone(str(tmp_path / "clone"))
+    names = {f for _, _, fs in os.walk(tmp_path / "clone") for f in fs}
+    assert not any(".tmp" in f for f in names), sorted(names)
+    assert clone.final_sha256() == eng.final_sha256()

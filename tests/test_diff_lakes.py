@@ -97,3 +97,29 @@ def test_diff_with_layout_mismatch_raises(tmp_path, ray_session):
     c = ReplayEngine(repo_file_spec(num_buckets=8), str(tmp_path / "c"))
     c.replay(meta["events_dir"])
     assert a.diff_with(c).count() == 0
+
+
+def test_diff_with_payload_schema_mismatch_raises(tmp_path, ray_session):
+    """Lakes whose base payload columns differ in type or name cannot be
+    diffed: conform() would null-fill or drop columns and report
+    spurious changes."""
+    import dataclasses
+
+    meta = _gen(tmp_path, seed=34, n_batches=2)
+    spec = repo_file_spec(num_buckets=8)
+    a = ReplayEngine(spec, str(tmp_path / "a"))
+    a.replay(meta["events_dir"])
+    retyped = dataclasses.replace(
+        spec,
+        base_cols=(("commit", "string"), ("lang", "int64"), ("content", "string")),
+    )
+    renamed = dataclasses.replace(
+        spec,
+        base_cols=(("commit", "string"), ("language", "string"), ("content", "string")),
+    )
+    for i, other_spec in enumerate((retyped, renamed)):
+        other = ReplayEngine(other_spec, str(tmp_path / f"o{i}"))
+        with pytest.raises(ValueError, match="matching payload columns"):
+            a.diff_with(other)
+        with pytest.raises(ValueError, match="matching payload columns"):
+            other.diff_with(a)

@@ -159,3 +159,46 @@ def test_eventfile_etl_end_to_end(ray_session, tmp_path):
     ).sort_by("event_id")
     # M10: "solo" -> 1 tag, list stays 2, "null" -> 0
     assert evt["n_tags"].to_pylist() == [1, 2, 0]
+
+
+def test_event_times_strict_and_pandas_paths(ray_session, tmp_path):
+    """Strict UTC times parse per event, others go to pandas; a time
+    neither accepts dead-letters and flips the event's audit row."""
+    times = [
+        "2022-04-27T15:01:00Z",  # strict
+        "2022-04-27T15:02:00.5Z",  # pandas accepts it
+        "yesterday",
+        "2022-02-30T00:00:00Z",  # strict shape, no such day
+    ]
+    preds = [
+        {
+            "id": f"p{i}",
+            "time": t,
+            "detail": {
+                "type": "EFPredictionEvent",
+                "prediction": {"service": "microone", "prediction_id": f"pid-{i}"},
+            },
+        }
+        for i, t in enumerate(times)
+    ]
+    f = tmp_path / "ef-1"
+    f.write_text("#corrupt#" + _blob(preds))
+    out = tmp_path / "out"
+    counts = run_eventfile_etl([str(f)], _specs(), str(out))
+
+    assert counts["tables"]["MICROONE_PREDICTION"] == 2
+    assert counts["dead_lettered"] == 3
+    part = out / "MICROONE_PREDICTION" / "year=2022" / "month=4" / "day=27" / "hour=15"
+    landed = pq.read_table(str(part)).sort_by("event_id")["event_id"].to_pylist()
+    assert landed == ["p0", "p1"]
+    dlq = pq.read_table(str(out / "_dlq"))
+    assert dlq["__error"].to_pylist() == ["decode", "time", "time"]
+    audit = pq.read_table(str(out / "_audit")).to_pylist()
+    assert [(r["event_id"], r["passed"], r["error"]) for r in audit] == [
+        (None, False, "decode"),
+        ("p0", True, None),
+        ("p1", True, None),
+        ("p2", False, "time"),
+        ("p3", False, "time"),
+    ]
+    assert {r["event_file"] for r in audit} == {"ef-1"}
