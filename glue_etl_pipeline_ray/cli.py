@@ -31,7 +31,8 @@ Subcommands (each prints one JSON line):
   point lookups skip bucket reads entirely.
 - ``scan``    : predicate-pushdown live read (``--where col=value``,
   repeatable; equality only from the CLI, the value cast to the column's
-  type) printing the match count.
+  type) printing the match count and, under ``read``, the scan's read
+  counters (files, bytes, rows, tasks).
 - ``metrics`` : per-batch / totals rollup from lineage.
 """
 
@@ -205,7 +206,8 @@ def main(argv=None) -> int:
                 except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
                     p.error(f"bad --where {w!r}: {v!r} is not a {typ} value")
                 preds.append((c, "==", value))
-            out = {"where": args.where, "rows": eng.scan(preds).count()}
+            rows = eng.scan(preds).count()
+            out = {"where": args.where, "rows": rows, "read": eng._last_read_stats}
         elif args.command == "filters":
             out = eng.build_lookup_filters()
         elif args.command == "export":

@@ -66,6 +66,11 @@ from glue_etl_pipeline_ray.stages.partial import BUCKET_COL, make_partial_lww
 from glue_etl_pipeline_ray.stages.validate import ValidateFn
 from glue_etl_pipeline_ray.state.checkpoint import CheckpointManager
 from glue_etl_pipeline_ray.state.lineage import write_lineage
+from glue_etl_pipeline_ray.state.snapshot import (  # noqa: F401  (_where_mask: re-exported)
+    SnapshotReader,
+    diff_live,
+    where_mask as _where_mask,
+)
 
 _BATCH_RE = re.compile(r"batch=(\d+)")
 
@@ -207,6 +212,7 @@ class ReplayEngine:
         self.writer_lease = writer_lease
         self.lease_ttl_s = lease_ttl_s
         self._active_lease = None
+        self._last_read_stats = None
         os.makedirs(lake_dir, exist_ok=True)
         self.ckpt = CheckpointManager(lake_dir)
 
@@ -1218,7 +1224,7 @@ class ReplayEngine:
         # make the rewrite VISIBLE to the history machinery BEFORE the
         # manifest commit: the backfill redefines state starting at the
         # NEXT span (as_of <= wm keeps resolving pre-backfill), so
-        # versions_as_of / _delta_chain_pointers / the change feed pick
+        # the snapshot reader's versions_as_of / delta_chain_pointers pick
         # up the new files at batch_id = wm + 1. Without these records a
         # feed spanning the backfill silently omits every bucket the
         # next batch didn't touch — permanent replica divergence. Write
@@ -1509,369 +1515,64 @@ class ReplayEngine:
         }
 
     # ----------------------------------------------------------- final state
-    @staticmethod
-    def _reshard_floor(recs: list[dict]) -> int:
-        """Oldest as_of this lake can serve: a resharded lake carries
-        its base snapshot (batch == the reshard watermark) but NOTHING
-        older — pre-reshard history stays with the old lake. -1 when
-        the lake was never resharded (full history available)."""
-        return max(
-            (r["batch_id"] for r in recs if r.get("kind") == "reshard_base"),
-            default=-1,
-        )
+    # Snapshot reads resolve, read and dispatch through state/snapshot.py;
+    # each one records its counters as ``_last_read_stats``.
+    def _reader(self) -> SnapshotReader:
+        r = SnapshotReader.of(self)
+        self._last_read_stats = r.stats
+        return r
 
     def versions_as_of(self, as_of_batch: int) -> dict[int, int]:
-        """Snapshot pointer set as of a committed batch id, reconstructed
+        """Snapshot pointer set as of a committed batch, reconstructed
         from the lineage log (time travel; requires the engine to have
         retained old versions — construct with ``gc_old_versions=False``).
         On a resharded lake, raises for ``as_of`` older than the reshard
         base (that history lives in the OLD lake) instead of silently
         returning a partial pointer set."""
-        from glue_etl_pipeline_ray.state.lineage import read_lineage
-
-        recs = read_lineage(self.lake_dir)
-        floor = self._reshard_floor(recs)
-        if as_of_batch < floor:
-            raise ValueError(
-                f"as_of={as_of_batch} predates this lake's reshard base "
-                f"(batch {floor}); pre-reshard history stays with the "
-                "old lake — query it there or resync by snapshot"
-            )
-        out: dict[int, int] = {}
-        for rec in recs:
-            if rec.get("kind") == "bucket" and rec["batch_id"] <= as_of_batch:
-                # LAST record wins — read_lineage returns commit order.
-                # "max version" would be wrong across a backfill, whose
-                # rewrites live in a high version namespace (10^9 + wm)
-                # and are superseded by ordinary batch versions after it.
-                out[rec["bucket"]] = rec["version"]
-        return out
+        return SnapshotReader.of(self).versions_as_of(as_of_batch)
 
     def _state_files(self, as_of: int | None = None) -> list[str]:
-        if self.state_mode == "delta":
-            from glue_etl_pipeline_ray.stages.merge import (
-                delta_entry_version,
-                delta_name,
-                gdelta_name,
-            )
-
-            out = []
-            seen_g: set[str] = set()
-            for b, d in sorted(self.ckpt.bucket_deltas.items()):
-                if d["base"] is not None:
-                    out.append(os.path.join(self.lake_dir, part_name(b, d["base"])))
-                for ent in sorted(d["deltas"], key=delta_entry_version):
-                    if isinstance(ent, (list, tuple)):
-                        name = gdelta_name(int(ent[1]), int(ent[0]))
-                        if name not in seen_g:
-                            seen_g.add(name)
-                            out.append(os.path.join(self.lake_dir, name))
-                    else:
-                        out.append(os.path.join(self.lake_dir, delta_name(b, ent)))
-            return out
-        versions = (
-            self.ckpt.bucket_versions if as_of is None else self.versions_as_of(as_of)
-        )
-        return [
-            os.path.join(self.lake_dir, part_name(b, v))
-            for b, v in sorted(versions.items())
-        ]
-
-    def _delta_chain_pointers(
-        self, as_of: int, buckets=None
-    ) -> list[tuple[int, int | None, list]]:
-        """Historic per-bucket (base, chain) pointers for state as-of a
-        committed batch, rebuilt from the lineage log.
-
-        Keep-everything mode (gc_old_versions=False): base=None and the
-        full delta chain <= as_of — folds are caches, the chain is the
-        truth. Bounded retention: deltas at or below a fold F may be
-        purged once the horizon passes F, so anchor on the NEWEST fold
-        <= as_of (exactly the deltas <= F) and replay only the chain
-        after it. A reshard-base lineage record is a PART-file anchor in
-        either mode (the reshard wrote full state at that version);
-        as_of older than the reshard base raises — that history stays
-        with the old lake. ``buckets``: optional restriction (point
-        lookups)."""
-        from glue_etl_pipeline_ray.state.lineage import read_lineage
-
-        from glue_etl_pipeline_ray.stages.merge import delta_entry_version
-
-        recs = read_lineage(self.lake_dir)
-        floor = self._reshard_floor(recs)
-        if as_of < floor:
-            raise ValueError(
-                f"as_of={as_of} predates this lake's reshard base "
-                f"(batch {floor}); pre-reshard history stays with the "
-                "old lake — query it there or resync by snapshot"
-            )
-        chains: dict[int, list] = {}
-        bases: dict[int, int | None] = {}
-        # floor = the batch position an anchor's part file folds up to;
-        # deltas strictly after it replay on top. Reshard bases use
-        # their file version AS the floor (those versions are batch
-        # ids); backfill bases live in the 10^9 version namespace and
-        # carry an explicit ``chain_floor``.
-        floors: dict[int, int] = {}
-        for rec in recs:
-            if (
-                rec.get("kind") == "bucket"
-                and rec["batch_id"] <= as_of
-                and (buckets is None or rec["bucket"] in buckets)
-            ):
-                if rec.get("reshard_base") or rec.get("backfill_base"):
-                    fl = rec.get("chain_floor", rec["version"])
-                    if fl >= floors.get(rec["bucket"], -1):
-                        floors[rec["bucket"]] = fl
-                        bases[rec["bucket"]] = rec["version"]
-                else:
-                    chains.setdefault(rec["bucket"], []).append(
-                        [rec["version"], rec["group"]]
-                        if "group" in rec
-                        else rec["version"]
-                    )
-        if self.retain_batches is not None:
-            for b, folds in self.ckpt.fold_history.items():
-                cand = [f for f in folds if f <= as_of]
-                if cand and max(cand) > floors.get(b, -1):
-                    bases[b] = max(cand)
-                    floors[b] = max(cand)
-        return [
-            (
-                b,
-                bases.get(b),
-                sorted(
-                    (
-                        v for v in chains.get(b, [])
-                        if b not in floors
-                        or delta_entry_version(v) > floors[b]
-                    ),
-                    key=delta_entry_version,
-                ),
-            )
-            for b in sorted(set(chains) | set(bases))
-        ]
-
-    def _delta_live_refs(
-        self, as_of: int | None = None, columns: list[str] | None = None
-    ) -> list:
-        """One Ray task per bucket: fold base+deltas, return live rows.
-
-        ``as_of``: historic rebuild via :meth:`_delta_chain_pointers`
-        (keep-everything or retention-window semantics). ``columns``:
-        projection pushed into the per-file Parquet reads."""
-        from glue_etl_pipeline_ray.stages.merge import read_bucket_state
-
-        spec = self.spec
-        evolved = (
-            self.ckpt.evolved if as_of is None else self.ckpt.evolved_as_of(as_of)
-        )
-        cols = spec.canonical_cols(evolved)
-        if columns is not None:
-            cols = [c for c in cols if c in set(columns)]
-
-        if as_of is None:
-            pointers = [
-                (b, d["base"], d["deltas"])
-                for b, d in sorted(self.ckpt.bucket_deltas.items())
-            ]
-        else:
-            pointers = self._delta_chain_pointers(as_of)
-
-        @ray.remote
-        def live_bucket(lake_dir, b, base, deltas):
-            t = read_bucket_state(
-                spec, evolved, lake_dir, base, deltas, b, columns=columns
-            )
-            return t.filter(pc.invert(t[DELETED_COL])).select(cols)
-
-        return [
-            live_bucket.remote(self.lake_dir, b, base, deltas)
-            for b, base, deltas in pointers
-        ]
-
-    def _require_delta_history(self, as_of: int) -> None:
-        """Delta-mode history gate: keep-everything
-        (gc_old_versions=False) serves any as_of; bounded retention
-        (retain_batches=N) serves as_of inside the window; plain GC mode
-        has no history at all."""
-        if not self.gc_old_versions:
-            return
-        if self.retain_batches is not None:
-            horizon = self.ckpt.watermark - self.retain_batches
-            if as_of >= horizon:
-                return
-            raise ValueError(
-                f"as_of={as_of} is outside the retention window "
-                f"(horizon={horizon}, retain_batches={self.retain_batches})"
-            )
-        raise NotImplementedError(
-            "delta-mode time travel requires gc_old_versions=False "
-            "or retain_batches=N"
-        )
-
-    def _require_history(self, as_of: int) -> None:
-        """Raise unless the ``as_of`` snapshot is reconstructible under
-        the retention policy: always with ``gc_old_versions=False``;
-        inside the trailing window with ``retain_batches=N`` (a purge only
-        removes files whose successor is at or below the horizon, so any
-        snapshot at or above it still resolves — see ``purge_retired``)."""
-        if not self.gc_old_versions:
-            return
-        if as_of >= self.ckpt.watermark:
-            return  # the current snapshot needs no history
-        if self.retain_batches is not None:
-            horizon = self.ckpt.watermark - self.retain_batches
-            if as_of >= horizon:
-                return
-            raise ValueError(
-                f"as_of={as_of} is outside the retention window "
-                f"(horizon={horizon}, retain_batches={self.retain_batches})"
-            )
-        raise NotImplementedError(
-            "history reads require gc_old_versions=False or retain_batches=N"
-        )
+        return SnapshotReader.of(self).state_files(as_of)
 
     # -------------------------------------------------- change data feed
     def _changes_refs(
         self, from_batch: int, to_batch: int, update_preimages: bool = False
     ) -> list:
-        return [
-            r
-            for _, r in self._changes_refs_by_bucket(
-                from_batch, to_batch, update_preimages
-            )
-        ]
-
-    def _changes_refs_by_bucket(
-        self, from_batch: int, to_batch: int, update_preimages: bool = False
-    ) -> list:
-        """One Ray task per bucket: diff the two snapshots of that bucket
-        (both snapshots share the sink's bucket layout, so the whole feed
-        is shuffle-free). Returns ``(bucket, ref)`` pairs in ascending
-        bucket order. Requires retained history: either
+        """Change-feed table refs, one per group of changed buckets (both
+        snapshots share the sink's bucket layout, so the feed is
+        shuffle-free). Buckets whose source is the same at both batches
+        are not read. Requires retained history: either
         ``gc_old_versions=False`` or both batches inside the
         ``retain_batches`` window."""
-        from glue_etl_pipeline_ray.stages.merge import (
-            read_bucket_state,
-            snapshot_diff,
-        )
-
-        if not (-1 <= from_batch < to_batch <= self.ckpt.watermark):
-            raise ValueError(
-                f"need -1 <= from_batch < to_batch <= watermark "
-                f"({from_batch}, {to_batch}, wm={self.ckpt.watermark})"
-            )
-        self._require_history(to_batch)
-        if from_batch >= 0:
-            self._require_history(from_batch)
-        spec = self.spec
-        ev_to = self.ckpt.evolved_as_of(to_batch)
-
-        if self.state_mode == "delta":
-            # both sides anchored independently (fold <= from / fold <=
-            # to), so the feed works in keep-everything AND bounded
-            # retention (purged prefixes are covered by their folds)
-            new_ptrs = {
-                b: (base, chain)
-                for b, base, chain in self._delta_chain_pointers(to_batch)
-            }
-            old_ptrs = (
-                {
-                    b: (base, chain)
-                    for b, base, chain in self._delta_chain_pointers(from_batch)
-                }
-                if from_batch >= 0
-                else {}
-            )
-
-            @ray.remote
-            def diff_bucket_delta(lake_dir, b, old_ptr, new_ptr):
-                ob, oc = old_ptr
-                nb, nc = new_ptr
-                old = read_bucket_state(spec, ev_to, lake_dir, ob, oc, b)
-                new = read_bucket_state(spec, ev_to, lake_dir, nb, nc, b)
-                return snapshot_diff(
-                    spec,
-                    ev_to,
-                    old.filter(pc.invert(old[DELETED_COL])),
-                    new.filter(pc.invert(new[DELETED_COL])),
-                    update_preimages=update_preimages,
-                )
-
-            return [
-                (
-                    b,
-                    diff_bucket_delta.remote(
-                        self.lake_dir, b, old_ptrs.get(b, (None, [])), ptr
-                    ),
-                )
-                for b, ptr in sorted(new_ptrs.items())
-            ]
-
-        v_old = self.versions_as_of(from_batch) if from_batch >= 0 else {}
-        v_new = self.versions_as_of(to_batch)
-        st = state_schema(spec, ev_to)
-
-        @ray.remote
-        def diff_bucket(lake_dir, b, vo, vn):
-            def live(v):
-                if v is None:
-                    return st.empty_table()
-                t = conform(pq.read_table(os.path.join(lake_dir, part_name(b, v))), st)
-                return t.filter(pc.invert(t[DELETED_COL]))
-
-            return snapshot_diff(
-                spec, ev_to, live(vo), live(vn),
-                update_preimages=update_preimages,
-            )
-
-        buckets = sorted(set(v_old) | set(v_new))
-        return [
-            (b, diff_bucket.remote(self.lake_dir, b, v_old.get(b), v_new.get(b)))
-            for b in buckets
-        ]
+        return self._reader().change_refs(from_batch, to_batch, update_preimages)[0]
 
     def changes_dataset(
         self, from_batch: int, to_batch: int, update_preimages: bool = False
     ) -> "ray.data.Dataset":
         """Change data feed (like Delta Lake ``table_changes``): the NET
-        row-level changes between two committed snapshots as a streaming
-        Dataset — one ``insert``/``update``/``delete`` row per key whose
-        LWW winner differs, in the ``to`` snapshot's schema plus
-        ``_change_type``. ``from_batch=-1`` diffs against the empty
-        table. Shuffle-free: both snapshots share the bucket layout.
-        ``update_preimages=True`` splits each update into an
-        ``update_preimage`` + ``update_postimage`` pair (the Delta-Lake
-        CDF convention; what incremental view maintenance consumes)."""
-        from glue_etl_pipeline_ray.stages.merge import CHANGE_TYPE_COL
-
-        refs = self._changes_refs(from_batch, to_batch, update_preimages)
-        if not refs:
-            sch = self.spec.canonical_schema(
-                self.ckpt.evolved_as_of(to_batch)
-            ).append(pa.field(CHANGE_TYPE_COL, pa.string()))
-            return ray.data.from_arrow(sch.empty_table())
-        return ray.data.from_arrow_refs(refs)
+        row-level changes between two committed snapshots as a Dataset —
+        one ``insert``/``update``/``delete`` row per key whose LWW winner
+        differs, in the ``to`` snapshot's schema plus ``_change_type``.
+        ``from_batch=-1`` diffs against the empty table. Shuffle-free:
+        both snapshots share the bucket layout, and buckets no commit in
+        the window touched are skipped. ``update_preimages=True`` splits
+        each update into an ``update_preimage`` + ``update_postimage``
+        pair (the Delta-Lake CDF convention; what incremental view
+        maintenance consumes)."""
+        r = self._reader()
+        return r.dataset(*r.change_refs(from_batch, to_batch, update_preimages))
 
     def changes_table(self, from_batch: int, to_batch: int) -> pa.Table:
         """Driver-side change feed (test/oracle path only)."""
-        from glue_etl_pipeline_ray.stages.merge import CHANGE_TYPE_COL
-
-        parts = ray.get(self._changes_refs(from_batch, to_batch))
-        sch = self.spec.canonical_schema(
-            self.ckpt.evolved_as_of(to_batch)
-        ).append(pa.field(CHANGE_TYPE_COL, pa.string()))
-        if not parts:
-            return sch.empty_table()
-        out = pa.concat_tables(parts)
-        return out.sort_by([(k, "ascending") for k in self.spec.key_cols])
+        r = self._reader()
+        refs, schema = r.change_refs(from_batch, to_batch)
+        return r.table(ray.get(refs), schema)
 
     def diff_with(
         self, other: "ReplayEngine", update_preimages: bool = False
     ) -> "ray.data.Dataset":
         """CROSS-LAKE diff: the net row-level changes that would turn
-        ``other``'s live table into ``self``'s, as a streaming Dataset of
+        ``other``'s live table into ``self``'s, as a Dataset of
         ``insert`` / ``update`` / ``delete`` rows — the drift detector
         for clones, replicas and blue/green lakes (did the replica
         converge? what did the clone change since the fork?).
@@ -1879,7 +1580,7 @@ class ReplayEngine:
         Shuffle-free by layout: both lakes must share ``num_buckets``
         and key columns (clone/replicate preserve them), so bucket ``b``
         of one lake pairs with bucket ``b`` of the other — one
-        ``snapshot_diff`` task per bucket, zero cross-bucket traffic.
+        ``snapshot_diff`` per bucket, zero cross-bucket traffic.
         Mismatched layouts raise (reshard one side first) rather than
         silently shipping an all-to-all, and so do base payload columns
         that differ in name, order or type. State modes may differ per
@@ -1887,12 +1588,6 @@ class ReplayEngine:
         evolved columns, sorted by name; a same-name type conflict
         raises as ambiguous), so a column only one side evolved shows
         as null on the other — the same contract as in-lake evolution."""
-        from glue_etl_pipeline_ray.stages.merge import (
-            CHANGE_TYPE_COL,
-            read_bucket_state,
-            snapshot_diff,
-        )
-
         if self.spec.num_buckets != other.spec.num_buckets:
             raise ValueError(
                 f"diff_with needs matching bucket layouts "
@@ -1917,65 +1612,19 @@ class ReplayEngine:
                 )
             ev[name] = tn
         ev_to = tuple(sorted(ev.items()))
-        spec = self.spec
-        st = state_schema(spec, ev_to)
-
-        def tip_desc(eng: "ReplayEngine") -> dict[int, tuple]:
-            if eng.state_mode == "delta":
-                return {
-                    b: ("delta", eng.lake_dir, d["base"], tuple(d["deltas"]))
-                    for b, d in eng.ckpt.bucket_deltas.items()
-                }
-            return {
-                b: ("rewrite", eng.lake_dir, v, ())
-                for b, v in eng.ckpt.bucket_versions.items()
-            }
-
-        old_desc, new_desc = tip_desc(other), tip_desc(self)
-
-        @ray.remote
-        def diff_bucket_cross(b, od, nd):
-            def live(desc):
-                if desc is None:
-                    return st.empty_table()
-                kind, lake_dir, base, chain = desc
-                if kind == "delta":
-                    t = read_bucket_state(
-                        spec, ev_to, lake_dir, base, list(chain), b
-                    )
-                else:
-                    t = conform(
-                        pq.read_table(
-                            os.path.join(lake_dir, part_name(b, base))
-                        ),
-                        st,
-                    )
-                return t.filter(pc.invert(t[DELETED_COL]))
-
-            return snapshot_diff(
-                spec,
-                ev_to,
-                live(od),
-                live(nd),
-                update_preimages=update_preimages,
-            )
-
-        buckets = sorted(set(old_desc) | set(new_desc))
-        refs = [
-            diff_bucket_cross.remote(b, old_desc.get(b), new_desc.get(b))
-            for b in buckets
+        r = self._reader()
+        old, new = SnapshotReader.of(other).resolve(), r.resolve()
+        pairs = [
+            (old.get(b), new.get(b)) for b in sorted(set(old) | set(new))
         ]
-        if not refs:
-            sch = spec.canonical_schema(ev_to).append(
-                pa.field(CHANGE_TYPE_COL, pa.string())
-            )
-            return ray.data.from_arrow(sch.empty_table())
-        return ray.data.from_arrow_refs(refs)
+        return r.dataset(
+            r.diff_refs(ev_to, pairs, update_preimages), r.change_schema(ev_to)
+        )
 
     def final_dataset(
         self, as_of: int | None = None, columns: list[str] | None = None
     ) -> "ray.data.Dataset":
-        """Live table as a streaming Dataset (scale path). ``as_of``:
+        """Live table as a Dataset, one block per bucket group. ``as_of``:
         committed batch id for a time-travel snapshot — returned with the
         schema the table had THEN (an evolution after ``as_of`` does not
         leak null-backfilled columns into history).
@@ -1985,69 +1634,8 @@ class ReplayEngine:
         (plus the fold's own key/seq/deleted columns in delta mode)
         instead of shipping ``content`` just to drop it. Output keeps
         canonical column order."""
-        evolved = (
-            self.ckpt.evolved if as_of is None else self.ckpt.evolved_as_of(as_of)
-        )
-        cols = self.spec.canonical_cols(evolved)
-        if columns is not None:
-            unknown = [c for c in columns if c not in cols]
-            if unknown:
-                raise ValueError(
-                    f"unknown columns {unknown}; table has {cols}"
-                )
-            out_cols = [c for c in cols if c in set(columns)]
-        else:
-            out_cols = cols
-        if self.state_mode == "delta":
-            if as_of is not None:
-                self._require_delta_history(as_of)
-            refs = self._delta_live_refs(as_of, columns=columns)
-            if not refs:
-                return ray.data.from_arrow(
-                    self.spec.canonical_schema(evolved).empty_table().select(out_cols)
-                )
-            return ray.data.from_arrow_refs(refs)
-        if as_of is not None:
-            self._require_history(as_of)
-        files = self._state_files(as_of)
-        if not files:
-            return ray.data.from_arrow(
-                self.spec.canonical_schema(evolved).empty_table().select(out_cols)
-            )
-
-        if columns is None:
-            st = state_schema(self.spec, evolved)
-
-            def live_view(t: pa.Table) -> pa.Table:
-                t = conform(t, st)
-                return t.filter(pc.invert(t[DELETED_COL])).select(cols)
-
-            return ray.data.read_parquet(files).map_batches(
-                live_view, batch_format="pyarrow", zero_copy_batch=True
-            )
-
-        # pruned rewrite-mode read: per-file column intersection (files
-        # written before an evolution lack the evolved column)
-        want = list(dict.fromkeys(list(out_cols) + [DELETED_COL]))
-        st_sub = state_schema(self.spec, evolved, columns=out_cols)
-        st_sub = pa.schema([f for f in st_sub if f.name in set(want)])
-
-        def load_pruned(batch: pa.Table) -> pa.Table:
-            from glue_etl_pipeline_ray.stages.merge import read_parquet_pruned
-
-            outs = []
-            for path in batch["item"].to_pylist():
-                t = conform(read_parquet_pruned(path, want), st_sub)
-                outs.append(
-                    t.filter(pc.invert(t[DELETED_COL])).select(out_cols)
-                )
-            return outs[0] if len(outs) == 1 else pa.concat_tables(outs)
-
-        return ray.data.from_items(files).map_batches(
-            load_pruned, batch_format="pyarrow", batch_size=1
-        )
-
-    _SCAN_OPS = ("==", "!=", "<", "<=", ">", ">=", "in")
+        r = self._reader()
+        return r.dataset(*r.live_refs(as_of, columns))
 
     def scan(
         self,
@@ -2060,81 +1648,20 @@ class ReplayEngine:
         ``== != < <= > >= in`` (``in`` takes a list). Null never matches
         any op — SQL comparison semantics, including ``!=``.
 
-        Rewrite mode (tip and as-of): the predicate is handed to the
-        Parquet scanner (``pq.read_table(filters=...)``), so row groups
-        whose min/max statistics exclude the value range never
-        decompress — on a lake whose buckets were backfill-sorted on
-        the column, most files cost only their footer. Files written
-        before the predicate column evolved in are skipped whole (their
-        rows are all-null for it). Delta mode: a key's LWW winner is
-        only known AFTER the fold — filtering pre-fold rows could
-        resurrect a stale version whose payload matches — so the
-        per-bucket fold runs as usual (with column pushdown) and the
-        predicate applies vectorized post-fold. Both paths return the
-        same rows (tests/test_scan_where.py)."""
-        evolved = (
-            self.ckpt.evolved if as_of is None else self.ckpt.evolved_as_of(as_of)
-        )
-        cols = self.spec.canonical_cols(evolved)
-        for col, op, _ in where:
-            if col not in cols:
-                raise ValueError(f"unknown predicate column {col!r}")
-            if op not in self._SCAN_OPS:
-                raise ValueError(
-                    f"unknown op {op!r}; supported: {self._SCAN_OPS}"
-                )
-        out_cols = (
-            [c for c in cols if c in set(columns)] if columns is not None else cols
-        )
-        where_cols = [c for c, _, _ in where]
-        spec = self.spec
-
-        if self.state_mode == "delta":
-            need = list(dict.fromkeys(out_cols + where_cols))
-            base = self.final_dataset(as_of=as_of, columns=need)
-
-            def apply_where(t: pa.Table) -> pa.Table:
-                return t.filter(_where_mask(t, where)).select(out_cols)
-
-            return base.map_batches(
-                apply_where, batch_format="pyarrow", zero_copy_batch=True
-            )
-
-        if as_of is not None:
-            self._require_history(as_of)
-        files = self._state_files(as_of)
-        sch_out = self.spec.canonical_schema(evolved).empty_table().select(
-            out_cols
-        )
-        if not files:
-            return ray.data.from_arrow(sch_out)
-        need = list(dict.fromkeys(out_cols + where_cols + [DELETED_COL]))
-        st_need = pa.schema(
-            [f for f in state_schema(spec, evolved) if f.name in set(need)]
-        )
-        pq_filters = [tuple(w) for w in where] + [(DELETED_COL, "==", False)]
-
-        def load_filtered(batch: pa.Table) -> pa.Table:
-            outs = []
-            for path in batch["item"].to_pylist():
-                names = set(pq.read_schema(path).names)
-                if any(c not in names for c in where_cols):
-                    # pre-evolution file: the column is all-null there,
-                    # and null matches no predicate — skip whole file
-                    continue
-                t = pq.read_table(
-                    path,
-                    columns=[c for c in need if c in names],
-                    filters=pq_filters,
-                )
-                outs.append(conform(t, st_need).select(out_cols))
-            if not outs:
-                return sch_out
-            return outs[0] if len(outs) == 1 else pa.concat_tables(outs)
-
-        return ray.data.from_items(files).map_batches(
-            load_filtered, batch_format="pyarrow", batch_size=1
-        )
+        A bucket whose state is one file (every rewrite bucket, a folded
+        delta bucket; tip and as-of) is opened once and the predicate
+        checked against its row-group min/max statistics, so row groups
+        that cannot match never decompress — on a lake whose buckets
+        were backfill-sorted on the column, most files cost only their
+        footer. Files written before the predicate column evolved in
+        are skipped whole (their rows are all-null for it). A delta
+        chain: a key's LWW winner is only known AFTER the fold —
+        filtering pre-fold rows could resurrect a stale version whose
+        payload matches — so the bucket folds as usual (with column
+        pushdown) and the predicate applies vectorized post-fold. Both
+        paths return the same rows (tests/test_scan_where.py)."""
+        r = self._reader()
+        return r.dataset(*r.live_refs(as_of, columns, where))
 
     def final_table(
         self, as_of: int | None = None, sort: bool = True
@@ -2145,38 +1672,7 @@ class ReplayEngine:
         inside ``table_sha256`` (with a large_string upcast), and a
         driver-side sort of a 10^9-scale table would overflow int32
         string offsets in take."""
-        if self.state_mode == "delta":
-            if as_of is not None:
-                self._require_delta_history(as_of)
-            ev = (
-                self.ckpt.evolved
-                if as_of is None
-                else self.ckpt.evolved_as_of(as_of)
-            )
-            parts = ray.get(self._delta_live_refs(as_of))
-            if not parts:
-                return self.spec.canonical_schema(ev).empty_table()
-            out = pa.concat_tables(parts)
-            if not sort:
-                return out
-            return out.sort_by([(k, "ascending") for k in self.spec.key_cols])
-        evolved = (
-            self.ckpt.evolved if as_of is None else self.ckpt.evolved_as_of(as_of)
-        )
-        st = state_schema(self.spec, evolved)
-        cols = self.spec.canonical_cols(evolved)
-        if as_of is not None:
-            self._require_history(as_of)
-        parts = []
-        for f in self._state_files(as_of):
-            t = conform(pq.read_table(f), st)
-            parts.append(t.filter(pc.invert(t[DELETED_COL])).select(cols))
-        if not parts:
-            return self.spec.canonical_schema(evolved).empty_table()
-        out = pa.concat_tables(parts)
-        if not sort:
-            return out
-        return out.sort_by([(k, "ascending") for k in self.spec.key_cols])
+        return self._reader().live_table(as_of, sort)
 
     def history(self) -> pa.Table:
         """Commit log (the Delta-Lake ``DESCRIBE HISTORY`` analog), one
@@ -2290,7 +1786,8 @@ class ReplayEngine:
         events / dead-letters / upserts / deletes / live counts — the
         run-report the reference surfaces through its workflow metrics,
         assembled from the same per-batch manifests the engine already
-        commits (no data reads)."""
+        commits (no data reads), plus ``last_read``: the counters of this
+        engine's latest snapshot read (None before the first)."""
         from glue_etl_pipeline_ray.state.lineage import read_lineage
 
         per_batch = {}
@@ -2323,6 +1820,9 @@ class ReplayEngine:
             "totals": totals,
             "n_live": n_live,
             "per_batch": dict(sorted(per_batch.items())),
+            # counters of this engine's most recent snapshot read:
+            # files/bytes opened, rows returned, Ray tasks launched
+            "last_read": self._last_read_stats,
         }
 
     @_with_writer_lease
@@ -2489,7 +1989,7 @@ class ReplayEngine:
 
         # seed the NEW lake's lineage with the reshard base: one
         # "bucket" record (version=wm) per written bucket so
-        # versions_as_of / _delta_chain_pointers anchor as-of reads on
+        # the snapshot reader's as-of pointers anchor as-of reads on
         # the reshard snapshot instead of rebuilding from an empty log
         # (which would silently drop every pre-reshard row from any
         # bucket not re-written afterwards). Earlier history stays with
@@ -2874,11 +2374,11 @@ class ReplayEngine:
         """Point lookups by primary key WITHOUT scanning the lake: each
         requested key hashes to its sink bucket (the same
         ``key_hash_u64 % num_buckets`` the exchange uses), so only the
-        touched buckets' files are read — one Ray task per touched
-        bucket, I/O proportional to those buckets' state, independent
-        of table size. The index is the layout itself; no secondary
-        structure to maintain (the auditor's "what happened to key X"
-        query, at serving cost).
+        touched buckets' files are read — in the driver, one bucket at a
+        time, no Ray task — I/O proportional to those buckets' state,
+        independent of table size. The index is the layout itself; no
+        secondary structure to maintain (the auditor's "what happened to
+        key X" query, at serving cost).
 
         ``keys``: iterable of key tuples (scalars accepted for
         single-column keys). Returns live rows in canonical layout,
@@ -2887,21 +2387,24 @@ class ReplayEngine:
         ``final_dataset`` in both modes (delta mode rebuilds only the
         touched buckets' chains from the lineage log). ``columns``:
         payload projection pushed into the bucket-file reads (same
-        contract as ``final_dataset``)."""
+        contract as ``final_dataset``). An empty key list is validated
+        and shaped like a miss."""
         import numpy as np
 
         from glue_etl_pipeline_ray.hashing import key_hash_u64
-        from glue_etl_pipeline_ray.stages.merge import SEQ_COL, read_bucket_state
 
         kc = self.spec.key_cols
         tuples = [
             (k,) if not isinstance(k, (tuple, list)) else tuple(k)
             for k in keys
         ]
-        if not tuples:
-            return self.spec.canonical_schema(self.ckpt.evolved).empty_table()
         if any(len(t) != len(kc) for t in tuples):
             raise ValueError(f"each key must have {len(kc)} parts {kc}")
+        r = self._reader()
+        evolved = r.evolved(as_of)
+        # keys are the result's identity (and the sort key): always kept,
+        # whether or not the projection names them
+        cols = r.columns(evolved, columns, keep=kc)
         key_arrays = [
             pa.array([str(t[i]) for t in tuples], pa.string())
             for i in range(len(kc))
@@ -2940,108 +2443,20 @@ class ReplayEngine:
                     if not bf.contains_hashes(kh[per_bucket[b]]).any():
                         del per_bucket[b]
                         skipped += 1
+        # history gate and as-of pointers for the touched buckets only
+        srcs = r.sources(as_of, buckets=per_bucket)
+        parts = r.probe(
+            srcs, kh, {tuple(str(p) for p in t) for t in tuples}, evolved, cols
+        )
         self._last_lookup_stats = {
             "buckets_touched": len(per_bucket),
             "buckets_skipped": skipped,
+            **r.stats,
         }
-
-        evolved = (
-            self.ckpt.evolved if as_of is None else self.ckpt.evolved_as_of(as_of)
-        )
-        cols = self.spec.canonical_cols(evolved)
-        if columns is not None:
-            unknown = [c for c in columns if c not in cols]
-            if unknown:
-                raise ValueError(f"unknown columns {unknown}; table has {cols}")
-            # keys are the result's identity (and the sort key): always
-            # kept, whether or not the projection names them
-            cols = [c for c in cols if c in set(columns) | set(kc)]
-        st = state_schema(self.spec, evolved, columns)
-        want = None
-        if columns is not None:
-            want = list(dict.fromkeys(
-                list(columns) + list(kc) + [SEQ_COL, DELETED_COL]
-            ))
-        spec = self.spec
-        lake_dir = self.lake_dir
-        keyset = {tuple(str(p) for p in t) for t in tuples}
-
-        @ray.remote
-        def probe(src, wanted_kh, keyset):
-            if isinstance(src, str):
-                from glue_etl_pipeline_ray.stages.merge import (
-                    read_parquet_pruned,
-                )
-
-                t = conform(read_parquet_pruned(src, want), st)
-            else:  # delta chain pointer (bucket, base, deltas)
-                b, base, deltas = src
-                t = read_bucket_state(
-                    spec, evolved, lake_dir, base, deltas, b, columns=columns
-                )
-            row_kh = key_hash_u64(*(t[k] for k in kc))
-            cand = np.flatnonzero(np.isin(row_kh, wanted_kh))
-            if len(cand) == 0:
-                return t.schema.empty_table().select(cols)
-            t = t.take(pa.array(cand))
-            # hash prefilter, exact verify (collision guard): candidate
-            # sets are key-sized, so a tuple check is aggregate work
-            rows = list(zip(*(t[k].to_pylist() for k in kc)))
-            exact = [i for i, r in enumerate(rows) if tuple(map(str, r)) in keyset]
-            t = t.take(pa.array(exact, pa.int64()))
-            return t.filter(pc.invert(t[DELETED_COL])).select(cols)
-
-        refs = []
-        if self.state_mode == "delta":
-            if as_of is None:
-                pointers = {
-                    b: (d["base"], list(d["deltas"]))
-                    for b, d in self.ckpt.bucket_deltas.items()
-                    if b in per_bucket
-                }
-            else:
-                # history: rebuild only the TOUCHED buckets' chains from
-                # the lineage log (same reconstruction as
-                # _delta_live_refs(as_of) — folds are caches, deltas are
-                # the truth), under the same retention requirement
-                self._require_delta_history(as_of)
-                pointers = {
-                    b: (base, chain)
-                    for b, base, chain in self._delta_chain_pointers(
-                        as_of, buckets=per_bucket
-                    )
-                }
-            for b, idxs in per_bucket.items():
-                if b not in pointers:
-                    continue
-                base, deltas = pointers[b]
-                refs.append(
-                    probe.remote((b, base, deltas), kh[idxs], keyset)
-                )
-        else:
-            if as_of is not None:
-                self._require_history(as_of)
-            versions = (
-                self.ckpt.bucket_versions
-                if as_of is None
-                else self.versions_as_of(as_of)
-            )
-            for b, idxs in per_bucket.items():
-                if b not in versions:
-                    continue
-                refs.append(
-                    probe.remote(
-                        os.path.join(lake_dir, part_name(b, versions[b])),
-                        kh[idxs],
-                        keyset,
-                    )
-                )
-        parts = [p for p in ray.get(refs) if p.num_rows]
         if not parts:
             # projected schema, same as the non-empty path
             return self.spec.canonical_schema(evolved).empty_table().select(cols)
-        out = pa.concat_tables(parts)
-        return out.sort_by([(k, "ascending") for k in kc])
+        return pa.concat_tables(parts).sort_by([(k, "ascending") for k in kc])
 
     # ------------------------------------------------------------- DML
     # Predicate-driven DELETE/UPDATE over the live table, expressed as
@@ -3418,8 +2833,10 @@ class ReplayEngine:
 
         # the inverse-change proto events, derived bucket-local from the
         # same shuffle-free per-bucket diff the change feed uses (the
-        # feed refs ARE per-bucket, so routing needs no extra exchange)
-        pairs = self._changes_refs_by_bucket(as_of, wm, update_preimages=True)
+        # diff IS per-bucket, so routing needs no extra exchange); buckets
+        # whose source did not change since ``as_of`` have nothing to undo
+        pairs = self._reader().change_pairs(as_of, wm)
+        ev_to = self.ckpt.evolved_as_of(wm)
         if not pairs:
             return {
                 "dml": "restore", "batch_id": None, "n_matched": 0,
@@ -3431,9 +2848,10 @@ class ReplayEngine:
         os.makedirs(stage, exist_ok=True)
 
         @ray.remote(num_returns=2)
-        def invert_bucket(lake_dir, feed, b, base, deltas):
+        def invert_bucket(lake_dir, old, new, b, base, deltas):
             # drop post-images; invert: created-since -> DELETE,
             # changed/deleted-since -> UPDATE carrying the pre-image
+            feed = diff_live(spec, ev_to, old, new, update_preimages=True)
             ct = feed[CHANGE_TYPE_COL]
             keep = pc.invert(pc.equal(ct, "update_postimage"))
             feed = feed.filter(keep)
@@ -3462,11 +2880,11 @@ class ReplayEngine:
                     mseq = pc.max(t[SEQ_COL]).as_py()
             return proto, {"n": proto.num_rows, "max_seq": mseq}
 
-        feed_buckets = [b for b, _ in pairs]
+        feed_buckets = [b for b, _, _ in pairs]
         proto_refs, meta_refs = [], []
-        for b, fref in pairs:
+        for b, old, new in pairs:
             base, deltas = pointers.get(b, (None, []))
-            prr, mrr = invert_bucket.remote(self.lake_dir, fref, b, base, deltas)
+            prr, mrr = invert_bucket.remote(self.lake_dir, old, new, b, base, deltas)
             proto_refs.append(prr)
             meta_refs.append(mrr)
         seq_floor = 0
@@ -3784,31 +3202,3 @@ class ReplayEngine:
         summary["n_matched"] = total
         return summary
 
-
-def _where_mask(t: pa.Table, where: list[tuple]) -> pa.Array:
-    """Vectorized conjunction mask for :meth:`ReplayEngine.scan`'s
-    residual filter (delta mode / any post-fold check). Null compares
-    to nothing (``fill_null(False)``) so both execution paths agree
-    with the Parquet scanner's SQL-style semantics."""
-    mask = None
-    for col, op, val in where:
-        c = t[col]
-        if op == "==":
-            m = pc.equal(c, val)
-        elif op == "!=":
-            m = pc.not_equal(c, val)
-        elif op == "<":
-            m = pc.less(c, val)
-        elif op == "<=":
-            m = pc.less_equal(c, val)
-        elif op == ">":
-            m = pc.greater(c, val)
-        elif op == ">=":
-            m = pc.greater_equal(c, val)
-        elif op == "in":
-            m = pc.is_in(c, value_set=pa.array(list(val)))
-        else:  # validated upstream; defensive
-            raise ValueError(f"unknown op {op!r}")
-        m = pc.fill_null(m, False)
-        mask = m if mask is None else pc.and_(mask, m)
-    return mask

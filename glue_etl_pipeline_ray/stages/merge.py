@@ -367,8 +367,9 @@ def read_parquet_pruned(path: str, want: list[str] | None) -> pa.Table:
     engine-written files carry every requested column, so the direct
     read succeeds except on files written before a schema evolution —
     only those pay an extra footer read to intersect the projection
-    with what the file actually has. The one shared implementation for
-    every pruned lake read (state folds, final_dataset, point lookups)."""
+    with what the file actually has. Used by state folds and lookup-filter
+    builds; snapshot reads of a single state file go through
+    ``state/snapshot.py`` ``read_live``, which opens each file once."""
     import pyarrow.parquet as pq
 
     if want is None:
@@ -456,7 +457,7 @@ def snapshot_diff(
 ) -> pa.Table:
     """Change data feed kernel: net row-level changes between two LIVE
     snapshots of ONE bucket (both sides share the bucket layout, so the
-    whole feed needs no shuffle — one task per bucket).
+    whole feed needs no shuffle — buckets diff independently).
 
     Emits one row per key whose LWW winner differs: ``insert`` (key only
     in new), ``delete`` (key only in old — the pre-image row), ``update``

@@ -1,0 +1,630 @@
+"""Snapshot reads: committed manifest -> per-bucket sources -> live rows.
+
+Every read of a committed snapshot (full and filtered scans, the change
+feed, cross-lake diffs, point lookups) goes through one
+:class:`SnapshotReader`:
+
+    resolve   manifest (tip) or lineage log (``as_of``) -> one Source per
+              bucket: a rewrite part file, or a delta base + chain
+    read      read_live(src): conform, drop tombstones, project, filter —
+              each file opened once, predicates pushed to row-group
+              statistics when the source is a single state file
+    dispatch  contiguous groups of buckets, one plain Ray task per group
+              returning one concatenated table (plan_groups)
+
+A snapshot read is resolved from the manifest and should cost about its
+file I/O, not a per-file plan (the *Delta Lake* point): on one CPU a
+64-bucket scan is one task, on a large lake each task reads about
+``GROUP_BYTES`` of state. Point lookups read their few buckets in the
+driver and launch no task at all.
+
+Each reader counts what it read in ``stats``: ``files`` and ``bytes``
+(distinct files opened and their on-disk size), ``rows`` returned and
+Ray ``tasks`` launched.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
+
+from glue_etl_pipeline_ray.stages.evolve import conform
+from glue_etl_pipeline_ray.stages.merge import (
+    CHANGE_TYPE_COL,
+    DELETED_COL,
+    delta_entry_version,
+    delta_name,
+    gdelta_name,
+    part_name,
+    read_bucket_state,
+    snapshot_diff,
+    state_schema,
+)
+
+# On-disk bytes one read task is planned to cover. A read task costs
+# about 7-10 ms more than the same reads in the driver (task round trip);
+# inside a task, state reads run at about 65 MiB/s of on-disk bytes per
+# core (lz4 Parquet decode, conform, tombstone filter, the result's
+# object-store put; one pinned Xeon vCPU). A 32 MiB group therefore runs
+# for about 0.5 s and keeps the fixed cost near 2%. Lakes smaller than
+# CPUs x budget get one group per CPU instead.
+GROUP_BYTES = 32 << 20
+
+SCAN_OPS = ("==", "!=", "<", "<=", ">", ">=", "in")
+
+
+@dataclass(frozen=True)
+class Source:
+    """Where one bucket's committed state lives: ``base`` is a part-file
+    version (a rewrite version or a delta base) and ``chain`` the delta
+    entries folded on top, as ints (``delta-*`` files) or ``(version,
+    group)`` pairs (``gdelta-*`` files). Two equal sources hold equal
+    rows, so an unchanged bucket is found by comparing sources."""
+
+    lake_dir: str
+    bucket: int
+    base: int | None
+    chain: tuple = ()
+
+    def files(self) -> list[str]:
+        out = []
+        if self.base is not None:
+            out.append(os.path.join(self.lake_dir, part_name(self.bucket, self.base)))
+        for ent in self.chain:
+            name = (
+                delta_name(self.bucket, ent)
+                if isinstance(ent, int)
+                else gdelta_name(int(ent[1]), int(ent[0]))
+            )
+            out.append(os.path.join(self.lake_dir, name))
+        return out
+
+
+def _source(lake_dir: str, bucket: int, base, chain) -> Source:
+    chain = sorted(chain, key=delta_entry_version)
+    return Source(
+        lake_dir,
+        int(bucket),
+        base,
+        tuple(e if isinstance(e, int) else (int(e[0]), int(e[1])) for e in chain),
+    )
+
+
+def where_mask(t: pa.Table, where) -> pa.Array:
+    """Vectorized conjunction mask for a ``scan`` predicate list. Null
+    compares to nothing (``fill_null(False)``): SQL comparison
+    semantics, the same on every read path."""
+    mask = None
+    for col, op, val in where:
+        c = t[col]
+        if op == "==":
+            m = pc.equal(c, val)
+        elif op == "!=":
+            m = pc.not_equal(c, val)
+        elif op == "<":
+            m = pc.less(c, val)
+        elif op == "<=":
+            m = pc.less_equal(c, val)
+        elif op == ">":
+            m = pc.greater(c, val)
+        elif op == ">=":
+            m = pc.greater_equal(c, val)
+        elif op == "in":
+            m = pc.is_in(c, value_set=pa.array(list(val)))
+        else:  # validated upstream; defensive
+            raise ValueError(f"unknown op {op!r}")
+        m = pc.fill_null(m, False)
+        mask = m if mask is None else pc.and_(mask, m)
+    return mask
+
+
+def _may_match(stats, op: str, val) -> bool:
+    """False only when a row group's min/max rule the predicate out.
+    ``!=`` never prunes (NaN is outside float statistics yet unequal to
+    everything), nor do missing or incomparable statistics."""
+    if stats is None or not stats.has_min_max:
+        return True
+    lo, hi = stats.min, stats.max
+    try:
+        if op in ("==", "in"):
+            vals = val if op == "in" else [val]
+            return any(v is None or lo <= v <= hi for v in vals)
+        if op == "<":
+            return lo < val
+        if op == "<=":
+            return lo <= val
+        if op == ">":
+            return hi > val
+        if op == ">=":
+            return hi >= val
+    except TypeError:
+        pass
+    return True
+
+
+def _row_groups(pf: pq.ParquetFile, where) -> list[int]:
+    md = pf.metadata
+    idx = {md.schema.column(i).path: i for i in range(md.num_columns)}
+    return [
+        g
+        for g in range(md.num_row_groups)
+        if all(
+            _may_match(md.row_group(g).column(idx[c]).statistics, op, v)
+            for c, op, v in where
+            if c in idx
+        )
+    ]
+
+
+def live_schema(spec, evolved, columns: list[str]) -> pa.Schema:
+    sch = spec.canonical_schema(evolved)
+    return pa.schema([sch.field(c) for c in columns])
+
+
+def read_live(spec, evolved, src: Source, columns: list[str], where=()) -> pa.Table:
+    """One bucket's live rows: ``columns`` (canonical order) of the rows
+    that are not tombstones and match every ``where`` triple.
+
+    A source that is one state file (every rewrite bucket, a folded
+    delta bucket) is opened once: its footer decides the projection (a
+    file written before an evolution lacks the column; one lacking a
+    predicate column matches nothing), its row-group statistics skip
+    groups the predicate rules out, and the rest is filtered in memory.
+    A delta chain is folded first — a key's winner is only known after
+    the fold, so filtering pre-fold rows could resurrect a stale version
+    whose payload matches — and the predicate applies to the fold."""
+    where = list(where)
+    need = list(dict.fromkeys(list(columns) + [c for c, _, _ in where]))
+    if src.chain or src.base is None:
+        proj = None if len(need) == len(spec.canonical_cols(evolved)) else need
+        t = read_bucket_state(
+            spec, evolved, src.lake_dir, src.base, list(src.chain), src.bucket,
+            columns=proj,
+        )
+    else:
+        pf = pq.ParquetFile(src.files()[0])
+        names = set(pf.schema_arrow.names)
+        if any(c not in names for c, _, _ in where):
+            return live_schema(spec, evolved, columns).empty_table()
+        want = set(need) | {DELETED_COL}
+        st = pa.schema([f for f in state_schema(spec, evolved) if f.name in want])
+        read_cols = [f.name for f in st if f.name in names]
+        if where:
+            t = pf.read_row_groups(_row_groups(pf, where), columns=read_cols)
+        else:
+            t = pf.read(columns=read_cols)
+        t = conform(t, st)
+    mask = pc.invert(t[DELETED_COL])
+    if where:
+        mask = pc.and_(mask, where_mask(t, where))
+    return t.filter(mask).select(list(columns))
+
+
+def diff_live(spec, evolved, old: Source | None, new: Source | None,
+              update_preimages: bool = False) -> pa.Table:
+    """The change feed of one bucket: :func:`snapshot_diff` of the live
+    rows of two sources (None = the bucket is empty on that side)."""
+    cols = spec.canonical_cols(evolved)
+
+    def live(src):
+        if src is None:
+            return live_schema(spec, evolved, cols).empty_table()
+        return read_live(spec, evolved, src, cols)
+
+    return snapshot_diff(
+        spec, evolved, live(old), live(new), update_preimages=update_preimages
+    )
+
+
+def _concat(parts: list[pa.Table]) -> pa.Table:
+    return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+
+
+@ray.remote(num_returns=2)
+def read_buckets(srcs, spec, evolved, columns, where):
+    out = _concat([read_live(spec, evolved, s, columns, where) for s in srcs])
+    return out, out.num_rows
+
+
+@ray.remote(num_returns=2)
+def diff_bucket(pairs, spec, evolved, update_preimages):
+    out = _concat(
+        [diff_live(spec, evolved, o, n, update_preimages) for o, n in pairs]
+    )
+    return out, out.num_rows
+
+
+def plan_groups(sizes: list[int], n_cpus: int, budget: int = GROUP_BYTES) -> list[list[int]]:
+    """Split buckets (their on-disk ``sizes``, in bucket order) into
+    contiguous groups, one read task each: ``max(n_cpus, total/budget)``
+    groups, capped at the bucket count, of about equal bytes. A bucket
+    larger than ``budget`` gets a group of its own. Every bucket lands in
+    exactly one group, in order."""
+    n = len(sizes)
+    if n == 0:
+        return []
+    total = sum(sizes)
+    k = min(n, max(n_cpus, -(-total // budget)))
+    target = total / k
+    groups: list[list[int]] = []
+    cur: list[int] = []
+    cur_b = 0
+    for i, s in enumerate(sizes):
+        # close the open group when this bucket would overflow it, when it
+        # is oversize, or when only enough buckets remain to reach k groups
+        if cur and (
+            cur_b + s > target or s > budget or len(groups) + 1 + n - i <= k
+        ):
+            groups.append(cur)
+            cur, cur_b = [], 0
+        cur.append(i)
+        cur_b += s
+        if s > budget:
+            groups.append(cur)
+            cur, cur_b = [], 0
+    if cur:
+        groups.append(cur)
+    return groups
+
+
+class SnapshotReader:
+    """Reads one lake's committed snapshots (see the module docstring).
+    Built per read from the engine's spec, lake dir, checkpoint, state
+    mode and retention policy; ``stats`` counts that read."""
+
+    def __init__(self, spec, lake_dir, ckpt, state_mode, gc_old_versions,
+                 retain_batches):
+        self.spec = spec
+        self.lake_dir = lake_dir
+        self.ckpt = ckpt
+        self.state_mode = state_mode
+        self.gc_old_versions = gc_old_versions
+        self.retain_batches = retain_batches
+        self.stats = {"files": 0, "bytes": 0, "rows": 0, "tasks": 0}
+        self._recs = None
+
+    @classmethod
+    def of(cls, eng) -> "SnapshotReader":
+        return cls(eng.spec, eng.lake_dir, eng.ckpt, eng.state_mode,
+                   eng.gc_old_versions, eng.retain_batches)
+
+    # ------------------------------------------------ manifest -> sources
+    def evolved(self, as_of: int | None = None):
+        return self.ckpt.evolved if as_of is None else self.ckpt.evolved_as_of(as_of)
+
+    def _lineage(self) -> list[dict]:
+        if self._recs is None:
+            from glue_etl_pipeline_ray.state.lineage import read_lineage
+
+            self._recs = read_lineage(self.lake_dir)
+        return self._recs
+
+    def _check_reshard_floor(self, as_of: int) -> None:
+        """A resharded lake carries its base snapshot (batch == the
+        reshard watermark) but nothing older: pre-reshard history stays
+        with the old lake, so an older ``as_of`` raises instead of
+        returning a partial pointer set."""
+        floor = max(
+            (r["batch_id"] for r in self._lineage() if r.get("kind") == "reshard_base"),
+            default=-1,
+        )
+        if as_of < floor:
+            raise ValueError(
+                f"as_of={as_of} predates this lake's reshard base "
+                f"(batch {floor}); pre-reshard history stays with the "
+                "old lake — query it there or resync by snapshot"
+            )
+
+    def versions_as_of(self, as_of_batch: int) -> dict[int, int]:
+        """Rewrite-mode pointer set as of a committed batch, rebuilt from
+        the lineage log."""
+        self._check_reshard_floor(as_of_batch)
+        out: dict[int, int] = {}
+        for rec in self._lineage():
+            if rec.get("kind") == "bucket" and rec["batch_id"] <= as_of_batch:
+                # LAST record wins — read_lineage returns commit order.
+                # "max version" would be wrong across a backfill, whose
+                # rewrites live in a high version namespace (10^9 + wm)
+                # and are superseded by ordinary batch versions after it.
+                out[rec["bucket"]] = rec["version"]
+        return out
+
+    def delta_chain_pointers(
+        self, as_of: int, buckets=None
+    ) -> list[tuple[int, int | None, list]]:
+        """Historic per-bucket (base, chain) pointers for state as-of a
+        committed batch, rebuilt from the lineage log.
+
+        Keep-everything mode (gc_old_versions=False): base=None and the
+        full delta chain <= as_of — folds are caches, the chain is the
+        truth. Bounded retention: deltas at or below a fold F may be
+        purged once the horizon passes F, so anchor on the NEWEST fold
+        <= as_of (exactly the deltas <= F) and replay only the chain
+        after it. A reshard-base lineage record is a PART-file anchor in
+        either mode (the reshard wrote full state at that version).
+        ``buckets``: optional restriction (point lookups)."""
+        self._check_reshard_floor(as_of)
+        chains: dict[int, list] = {}
+        bases: dict[int, int | None] = {}
+        # floor = the batch position an anchor's part file folds up to;
+        # deltas strictly after it replay on top. Reshard bases use
+        # their file version AS the floor (those versions are batch
+        # ids); backfill bases live in the 10^9 version namespace and
+        # carry an explicit ``chain_floor``.
+        floors: dict[int, int] = {}
+        for rec in self._lineage():
+            if (
+                rec.get("kind") == "bucket"
+                and rec["batch_id"] <= as_of
+                and (buckets is None or rec["bucket"] in buckets)
+            ):
+                if rec.get("reshard_base") or rec.get("backfill_base"):
+                    fl = rec.get("chain_floor", rec["version"])
+                    if fl >= floors.get(rec["bucket"], -1):
+                        floors[rec["bucket"]] = fl
+                        bases[rec["bucket"]] = rec["version"]
+                else:
+                    chains.setdefault(rec["bucket"], []).append(
+                        [rec["version"], rec["group"]]
+                        if "group" in rec
+                        else rec["version"]
+                    )
+        if self.retain_batches is not None:
+            for b, folds in self.ckpt.fold_history.items():
+                cand = [f for f in folds if f <= as_of]
+                if cand and max(cand) > floors.get(b, -1):
+                    bases[b] = max(cand)
+                    floors[b] = max(cand)
+        return [
+            (
+                b,
+                bases.get(b),
+                sorted(
+                    (
+                        v for v in chains.get(b, [])
+                        if b not in floors
+                        or delta_entry_version(v) > floors[b]
+                    ),
+                    key=delta_entry_version,
+                ),
+            )
+            for b in sorted(set(chains) | set(bases))
+        ]
+
+    def _require_history(self, as_of: int) -> None:
+        """Raise unless the ``as_of`` snapshot is reconstructible under
+        the retention policy: always with ``gc_old_versions=False``;
+        inside the trailing window with ``retain_batches=N`` (a purge only
+        removes files whose successor is at or below the horizon, so any
+        snapshot at or above it still resolves — see ``purge_retired``)."""
+        if not self.gc_old_versions:
+            return
+        if as_of >= self.ckpt.watermark:
+            return  # the current snapshot needs no history
+        self._require_window(as_of, "history reads")
+
+    def _require_window(self, as_of: int, what: str) -> None:
+        if self.retain_batches is not None:
+            horizon = self.ckpt.watermark - self.retain_batches
+            if as_of >= horizon:
+                return
+            raise ValueError(
+                f"as_of={as_of} is outside the retention window "
+                f"(horizon={horizon}, retain_batches={self.retain_batches})"
+            )
+        raise NotImplementedError(
+            f"{what} require gc_old_versions=False or retain_batches=N"
+        )
+
+    def _require_delta_history(self, as_of: int) -> None:
+        """Delta-mode history gate: keep-everything
+        (gc_old_versions=False) serves any as_of; bounded retention
+        (retain_batches=N) serves as_of inside the window; plain GC mode
+        has no history at all."""
+        if self.gc_old_versions:
+            self._require_window(as_of, "delta-mode time travel")
+
+    def resolve(self, as_of: int | None = None, buckets=None) -> dict[int, Source]:
+        """Per-bucket sources of the tip (``as_of=None``, from the
+        checkpoint manifest) or of a committed batch (from the lineage
+        log), without a history gate."""
+        lake = self.lake_dir
+        if self.state_mode == "delta":
+            if as_of is None:
+                ptrs = [
+                    (b, d["base"], d["deltas"])
+                    for b, d in self.ckpt.bucket_deltas.items()
+                ]
+            else:
+                ptrs = self.delta_chain_pointers(as_of, buckets)
+        else:
+            versions = (
+                self.ckpt.bucket_versions if as_of is None else self.versions_as_of(as_of)
+            )
+            ptrs = [(b, v, ()) for b, v in versions.items()]
+        return {
+            b: _source(lake, b, base, chain)
+            for b, base, chain in sorted(ptrs, key=lambda p: p[0])
+            if buckets is None or b in buckets
+        }
+
+    def sources(self, as_of: int | None = None, buckets=None) -> dict[int, Source]:
+        """:meth:`resolve` behind the mode's history gate (snapshot and
+        lookup reads)."""
+        if as_of is not None:
+            if self.state_mode == "delta":
+                self._require_delta_history(as_of)
+            else:
+                self._require_history(as_of)
+        return self.resolve(as_of, buckets)
+
+    def state_files(self, as_of: int | None = None) -> list[str]:
+        """Every state file a snapshot reads, in bucket order, once each
+        (group delta files are shared between buckets)."""
+        out = []
+        for src in self.resolve(as_of).values():
+            out.extend(src.files())
+        return list(dict.fromkeys(out))
+
+    def columns(self, evolved, columns=None, keep=()) -> list[str]:
+        """The output columns of a projected read, canonical order;
+        unknown names raise. ``keep`` columns are always kept."""
+        cols = self.spec.canonical_cols(evolved)
+        if columns is None:
+            return cols
+        unknown = [c for c in columns if c not in cols]
+        if unknown:
+            raise ValueError(f"unknown columns {unknown}; table has {cols}")
+        return [c for c in cols if c in set(columns) | set(keep)]
+
+    # ------------------------------------------------------------ dispatch
+    def _count(self, srcs) -> list[int]:
+        """Record the distinct files ``srcs`` open; return each
+        source's on-disk size (the group planner's weight)."""
+        sizes = []
+        seen: dict[str, int] = {}
+        for src in srcs:
+            n = 0
+            for path in src.files():
+                if path not in seen:
+                    try:
+                        seen[path] = os.path.getsize(path)
+                    except OSError:  # the read itself reports it
+                        seen[path] = 0
+                n += seen[path]
+            sizes.append(n)
+        self.stats["files"] += len(seen)
+        self.stats["bytes"] += sum(seen.values())
+        return sizes
+
+    def _dispatch(self, task, units: list, sizes: list[int], *args) -> list:
+        groups = plan_groups(sizes, int(ray.cluster_resources().get("CPU", 1)))
+        refs, rows = [], []
+        for g in groups:
+            ref, n = task.remote([units[i] for i in g], *args)
+            refs.append(ref)
+            rows.append(n)
+        self.stats["tasks"] += len(groups)
+        self.stats["rows"] += sum(ray.get(rows))
+        return refs
+
+    # --------------------------------------------------------------- reads
+    def live_refs(self, as_of=None, columns=None, where=()):
+        """Live rows of a snapshot as one table ref per bucket group,
+        plus the output schema. ``where``: validated ``(col, op, value)``
+        conjunction."""
+        evolved = self.evolved(as_of)
+        cols = self.columns(evolved, columns)
+        known = self.spec.canonical_cols(evolved)
+        for col, op, _ in where:
+            if col not in known:
+                raise ValueError(f"unknown predicate column {col!r}")
+            if op not in SCAN_OPS:
+                raise ValueError(f"unknown op {op!r}; supported: {SCAN_OPS}")
+        srcs = list(self.sources(as_of).values())
+        refs = self._dispatch(
+            read_buckets, srcs, self._count(srcs), self.spec, evolved,
+            cols, list(where),
+        )
+        return refs, live_schema(self.spec, evolved, cols)
+
+    def change_pairs(self, from_batch: int, to_batch: int) -> list[tuple]:
+        """``(bucket, old, new)`` for every bucket whose source differs
+        between two committed batches; an unchanged bucket has an empty
+        diff and is neither read nor listed. Requires retained history:
+        ``gc_old_versions=False`` or both batches inside the
+        ``retain_batches`` window."""
+        if not (-1 <= from_batch < to_batch <= self.ckpt.watermark):
+            raise ValueError(
+                f"need -1 <= from_batch < to_batch <= watermark "
+                f"({from_batch}, {to_batch}, wm={self.ckpt.watermark})"
+            )
+        self._require_history(to_batch)
+        if from_batch >= 0:
+            self._require_history(from_batch)
+        new = self.resolve(to_batch)
+        old = self.resolve(from_batch) if from_batch >= 0 else {}
+        return [
+            (b, old.get(b), new.get(b))
+            for b in sorted(set(old) | set(new))
+            if old.get(b) != new.get(b)
+        ]
+
+    def diff_refs(self, evolved, pairs, update_preimages=False) -> list:
+        """Change-feed table refs, one per bucket group, for ``(old,
+        new)`` source pairs (sources may live in different lakes)."""
+        flat = iter(self._count(s for pair in pairs for s in pair if s is not None))
+        sizes = [sum(next(flat) for s in pair if s is not None) for pair in pairs]
+        return self._dispatch(
+            diff_bucket, pairs, sizes, self.spec, evolved, update_preimages
+        )
+
+    def change_schema(self, evolved) -> pa.Schema:
+        return self.spec.canonical_schema(evolved).append(
+            pa.field(CHANGE_TYPE_COL, pa.string())
+        )
+
+    def change_refs(self, from_batch: int, to_batch: int, update_preimages=False):
+        """The in-lake change feed between two committed batches: table
+        refs (changed buckets only) plus the output schema."""
+        evolved = self.ckpt.evolved_as_of(to_batch)
+        pairs = [(o, n) for _, o, n in self.change_pairs(from_batch, to_batch)]
+        return (
+            self.diff_refs(evolved, pairs, update_preimages),
+            self.change_schema(evolved),
+        )
+
+    def probe(self, srcs: dict[int, Source], kh: np.ndarray, keyset: set,
+              evolved, cols: list[str]) -> list[pa.Table]:
+        """Point lookup in the driver: read each touched bucket through
+        :func:`read_live` and keep the rows whose key hash is wanted and
+        whose key verifies exactly (hash prefilter, collision guard)."""
+        from glue_etl_pipeline_ray.hashing import key_hash_u64
+
+        kc = self.spec.key_cols
+        self._count(srcs.values())
+        out = []
+        for src in srcs.values():
+            t = read_live(self.spec, evolved, src, cols)
+            cand = np.flatnonzero(np.isin(key_hash_u64(*(t[k] for k in kc)), kh))
+            if len(cand) == 0:
+                continue
+            t = t.take(pa.array(cand))
+            rows = zip(*(t[k].to_pylist() for k in kc))
+            exact = [i for i, r in enumerate(rows) if tuple(map(str, r)) in keyset]
+            if exact:
+                out.append(t.take(pa.array(exact, pa.int64())))
+        self.stats["rows"] += sum(p.num_rows for p in out)
+        return out
+
+    # ---------------------------------------------------------- assembly
+    @staticmethod
+    def dataset(refs: list, schema: pa.Schema) -> "ray.data.Dataset":
+        import ray.data  # not at module level: read tasks import this module
+
+        if not refs:
+            return ray.data.from_arrow(schema.empty_table())
+        return ray.data.from_arrow_refs(refs)
+
+    def table(self, parts: list[pa.Table], schema: pa.Schema, sort: bool = True) -> pa.Table:
+        out = _concat(parts) if parts else schema.empty_table()
+        if not sort:
+            return out
+        return out.sort_by([(k, "ascending") for k in self.spec.key_cols])
+
+    def live_table(self, as_of=None, sort: bool = True) -> pa.Table:
+        """The live table read in the driver, bucket by bucket (the
+        oracle-check path: no task, no object-store copy)."""
+        evolved = self.evolved(as_of)
+        cols = self.columns(evolved)
+        srcs = list(self.sources(as_of).values())
+        self._count(srcs)
+        parts = [read_live(self.spec, evolved, s, cols) for s in srcs]
+        self.stats["rows"] += sum(p.num_rows for p in parts)
+        return self.table(parts, live_schema(self.spec, evolved, cols), sort)

@@ -82,6 +82,11 @@ def test_cli_scan_casts_where_to_column_type(ray_session, tmp_path):
         "--where", f"size_bytes={value}",
     )
     assert out["rows"] == want
+    # the scan's own read counters: every bucket file once, one task on
+    # a 1-CPU cluster, the matching rows
+    read = out["read"]
+    assert read["rows"] == want and read["tasks"] == 1
+    assert read["files"] == len(eng.ckpt.bucket_versions) and read["bytes"] > 0
     r = _run(
         "scan", "--lake", lake, "--num-buckets", "8", "--num-cpus", "1",
         "--where", "size_bytes=big",
