@@ -1,6 +1,5 @@
 from glue_etl_pipeline_ray.stages.validate import ValidateFn
 from glue_etl_pipeline_ray.stages.evolve import make_evolve_fn
 from glue_etl_pipeline_ray.stages.partial import make_partial_lww
-from glue_etl_pipeline_ray.stages.merge import make_merge_fn
 
-__all__ = ["ValidateFn", "make_evolve_fn", "make_partial_lww", "make_merge_fn"]
+__all__ = ["ValidateFn", "make_evolve_fn", "make_partial_lww"]

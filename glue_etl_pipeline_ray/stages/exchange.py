@@ -22,8 +22,7 @@ Scale shape: G (exchange groups) ~ 2x cluster cores, independent of the
 sink bucket count B (each merge task owns the contiguous bucket range
 ``[g*B/G, (g+1)*B/G)``), so object count is M x G — bounded by compute
 parallelism, not by B (B can be 2^16 at 100 TB while G stays ~10^3).
-Everything else in the engine stays on the Dataset API; the groupby path
-is kept as ``ReplayEngine(exchange="groupby")`` and tested for equality.
+It is the engine's only ingest path.
 
 Reference analog: this stage *is* the Spark shuffle implicit in the
 reference's convert job (``convert_to_parquet.py:218-239``) made explicit.

@@ -1,10 +1,10 @@
 """Bucketed LWW merge + idempotent Parquet upsert sink.
 
 The single shuffle of the pipeline (SURVEY.md 7.3): clean, partially
-reduced events are hash-partitioned on the key via ``groupby(__bucket)``
-and each bucket group is merged against its prior lake state file by
-last-writer-wins on ``seq`` — the grouped-reduce generalization of the
-reference's ordered append (``convert_to_parquet.py:236-238`` +
+reduced events are hash-partitioned on the key by the raw-Ray exchange
+(stages/exchange.py) and each bucket group is merged against its prior
+lake state file by last-writer-wins on ``seq`` — the grouped-reduce
+generalization of the reference's ordered append (``convert_to_parquet.py:236-238`` +
 sorted work-list ``update_workflow_properties.py:146-150``).
 
 Exactly-once mechanics (fixes the reference's at-least-once hazard,
@@ -39,25 +39,9 @@ import pyarrow.compute as pc
 from glue_etl_pipeline_ray.hashing import table_sha256
 from glue_etl_pipeline_ray.spec import TableSpec
 from glue_etl_pipeline_ray.stages.evolve import conform
-from glue_etl_pipeline_ray.stages.partial import BUCKET_COL
 
 SEQ_COL = "__seq"
 DELETED_COL = "__deleted"
-
-LINEAGE_SCHEMA = pa.schema(
-    [
-        ("bucket", pa.int64()),
-        ("version", pa.int64()),
-        ("batch_id", pa.int64()),
-        ("n_events", pa.int64()),
-        ("n_upserts", pa.int64()),
-        ("n_deletes", pa.int64()),
-        ("n_live", pa.int64()),
-        ("n_tombstones", pa.int64()),
-        ("sha256", pa.string()),
-    ]
-)
-
 
 def state_schema(
     spec: TableSpec,
@@ -210,7 +194,6 @@ def merge_bucket_table(
     hashes to ``bucket``. Reads state ``part-{bucket}-v{prior_version}``
     (None = bucket never written), writes ``part-{bucket}-v{batch_id}``.
     Returns the lineage record (incl. the new version) as a plain dict.
-    Shared by both exchange paths (Dataset groupby and raw-Ray shuffle).
     """
     import pyarrow.parquet as pq
 
@@ -367,9 +350,9 @@ def read_parquet_pruned(path: str, want: list[str] | None) -> pa.Table:
     engine-written files carry every requested column, so the direct
     read succeeds except on files written before a schema evolution —
     only those pay an extra footer read to intersect the projection
-    with what the file actually has. Used by state folds and lookup-filter
-    builds; snapshot reads of a single state file go through
-    ``state/snapshot.py`` ``read_live``, which opens each file once."""
+    with what the file actually has. Used by state folds; reads of a
+    single state file go through ``state/snapshot.py`` (``read_live``,
+    ``read_state``), which open each file once."""
     import pyarrow.parquet as pq
 
     if want is None:
@@ -578,31 +561,3 @@ def snapshot_diff(
     ct = np.concatenate(emit_type)
     out = comb.take(pa.array(idx, pa.int64()))
     return out.append_column(CHANGE_TYPE_COL, pa.array(ct.tolist(), pa.string()))
-
-
-def make_merge_fn(
-    spec: TableSpec,
-    evolved: tuple[tuple[str, str], ...],
-    lake_dir: str,
-    prior_versions: dict[int, int],
-    batch_id: int,
-    compute_hash: bool = True,
-):
-    """groupby-path ``map_groups`` callable. ``prior_versions``: committed
-    bucket -> state-file version map as of the previous batch."""
-
-    def merge(group: pa.Table) -> pa.Table:
-        bucket = group[BUCKET_COL][0].as_py()
-        rec = merge_bucket_table(
-            spec,
-            evolved,
-            lake_dir,
-            prior_versions.get(bucket),
-            batch_id,
-            bucket,
-            group,
-            compute_hash=compute_hash,
-        )
-        return pa.table({k: [rec[k]] for k in LINEAGE_SCHEMA.names}, schema=LINEAGE_SCHEMA)
-
-    return merge

@@ -102,71 +102,56 @@ class CheckpointManager:
             if v not in ent["deltas"]:
                 ent["deltas"].append(v)
 
-    def record_compaction(
-        self, summary: dict, new_versions: dict[int, int]
-    ) -> None:
-        """Rewrite-mode compaction: bump bucket pointers + log the event
-        WITHOUT touching any batch's summary (compactions are not
-        batches)."""
-        m = self._m
-        m.setdefault("compactions", []).append(summary)
-        bv = m.setdefault("bucket_versions", {})
-        for b, v in new_versions.items():
-            bv[str(b)] = int(v)
-        self._write(m)
-
     @property
     def backfills(self) -> list[dict]:
         return list(self._m.get("backfills", []))
 
-    def record_backfill(
+    def record_rewrite(
         self,
-        summary: dict,
+        summary: dict | None,
         new_versions: dict[int, int] | None,
-        new_bases: dict[int, int] | None,
-        evolved: tuple[tuple[str, str], ...],
+        folds: dict[int, dict] | None,
+        evolved: tuple[tuple[str, str], ...] | None = None,
     ) -> None:
-        """Commit a lake-wide backfill in ONE atomic manifest write:
-        append the ledger entry (idempotence guard — one backfill per
-        watermark), bump every bucket pointer (rewrite mode:
-        ``bucket_versions``; delta mode: chain bases), and register any
-        columns the transform added in the evolution registry. Like
-        compactions, backfills are not batches: no batch summary, no
-        watermark change."""
-        m = self._m
-        m.setdefault("backfills", []).append(summary)
-        if new_versions:
-            bv = m.setdefault("bucket_versions", {})
-            for b, v in new_versions.items():
-                bv[str(b)] = int(v)
-        if new_bases:
-            bd = m.setdefault("bucket_deltas", {})
-            for b, v in new_bases.items():
-                ent = bd.setdefault(str(b), {"base": None, "deltas": []})
-                ent["base"] = int(v)
-        m["evolved"] = [list(e) for e in evolved]
-        self._write(m)
-
-    def apply_folds(self, folds: dict[int, dict]) -> None:
-        """Atomically record compaction results: ``bucket -> {"base":
-        new_base_version, "folded_deltas": [...]}``. Chain entries may be
-        ints (per-bucket delta files) or ``[version, group]`` pairs
-        (group delta files) — normalized to tuples for the set compare."""
+        """Commit a maintenance rewrite of bucket state in ONE atomic
+        manifest write. Rewrite layout: ``new_versions`` bumps
+        ``bucket_versions``. Delta layout: ``folds`` maps ``bucket ->
+        {"base": new_base_version, "folded_deltas": [...]}`` — the base
+        is replaced and the folded chain entries (ints for per-bucket
+        delta files, ``[version, group]`` pairs for group files) leave
+        the chain. ``summary``: None for a background fold; a
+        ``"compaction"`` kind goes to the compactions log; any other
+        kind (backfill, optimize_sort) to the backfill ledger, the
+        one-rewrite-per-watermark guard, with ``evolved`` registering
+        columns a backfill added. Folds and compactions are recorded in
+        ``fold_history`` (the anchors of bounded-retention time travel).
+        None of these are batches: no batch summary, no watermark
+        change."""
 
         def _key(v):
             return tuple(v) if isinstance(v, (list, tuple)) else v
 
-        bd = self._m.setdefault("bucket_deltas", {})
-        fh = self._m.setdefault("fold_history", {})
-        for b, f in folds.items():
-            ent = bd.setdefault(str(b), {"base": None, "deltas": []})
-            ent["base"] = f["base"]
+        m = self._m
+        is_fold = summary is None or summary.get("kind") == "compaction"
+        if summary is not None:
+            ledger = "compactions" if is_fold else "backfills"
+            m.setdefault(ledger, []).append(summary)
+        for b, v in (new_versions or {}).items():
+            m.setdefault("bucket_versions", {})[str(b)] = int(v)
+        for b, f in (folds or {}).items():
+            ent = m.setdefault("bucket_deltas", {}).setdefault(
+                str(b), {"base": None, "deltas": []}
+            )
+            ent["base"] = int(f["base"])
             folded = {_key(v) for v in f["folded_deltas"]}
             ent["deltas"] = [v for v in ent["deltas"] if _key(v) not in folded]
-            hist = fh.setdefault(str(b), [])
-            if f["base"] not in hist:
-                hist.append(f["base"])
-        self._write(self._m)
+            if is_fold:
+                hist = m.setdefault("fold_history", {}).setdefault(str(b), [])
+                if f["base"] not in hist:
+                    hist.append(f["base"])
+        if evolved is not None:
+            m["evolved"] = [list(e) for e in evolved]
+        self._write(m)
 
     @property
     def fold_history(self) -> dict[int, list[int]]:

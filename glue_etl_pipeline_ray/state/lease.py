@@ -34,6 +34,7 @@ commit cadence this engine produces.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -42,6 +43,27 @@ import uuid
 
 class ConcurrentWriter(RuntimeError):
     """Another live writer holds the lake's lease."""
+
+
+def with_writer_lease(fn):
+    """Guard a mutating engine method with the single-writer lease when
+    the engine has ``writer_lease=True``. Reentrant within one engine
+    (``redrive_dlq`` calls ``replay``); held only for the call's
+    duration so sequential writers never wait on a ttl."""
+
+    @functools.wraps(fn)
+    def wrapped(self, *args, **kwargs):
+        if not getattr(self, "writer_lease", False) or self._active_lease:
+            return fn(self, *args, **kwargs)
+        lease = WriterLease(self.lake_dir, ttl_s=self.lease_ttl_s).acquire()
+        self._active_lease = lease
+        try:
+            return fn(self, *args, **kwargs)
+        finally:
+            self._active_lease = None
+            lease.release()
+
+    return wrapped
 
 
 class WriterLease:

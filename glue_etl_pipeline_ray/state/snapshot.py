@@ -18,14 +18,21 @@ file I/O, not a per-file plan (the *Delta Lake* point): on one CPU a
 ``GROUP_BYTES`` of state. Point lookups read their few buckets in the
 driver and launch no task at all.
 
+Maintenance and DML rewrites read through the same reader: ``read_state``
+returns a bucket's full state (tombstones and ``__seq`` included), and
+``map_buckets`` runs a per-bucket function over the tip's sources in the
+same contiguous groups, one task per group.
+
 Each reader counts what it read in ``stats``: ``files`` and ``bytes``
-(distinct files opened and their on-disk size), ``rows`` returned and
-Ray ``tasks`` launched.
+(distinct files opened and their on-disk size), ``rows`` returned (state
+rows read, for ``map_buckets``) and Ray ``tasks`` launched.
 """
 
 from __future__ import annotations
 
+import glob
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,8 @@ from glue_etl_pipeline_ray.stages.merge import (
     snapshot_diff,
     state_schema,
 )
+
+STATE_FILE_RE = re.compile(r"(?:part|delta|gdelta)-(\d+)-v(\d+)\.parquet$")
 
 # On-disk bytes one read task is planned to cover. A read task costs
 # about 7-10 ms more than the same reads in the driver (task round trip);
@@ -206,6 +215,22 @@ def read_live(spec, evolved, src: Source, columns: list[str], where=()) -> pa.Ta
     return t.filter(mask).select(list(columns))
 
 
+def read_state(spec, evolved, src: Source, columns: list[str] | None = None) -> pa.Table:
+    """Every state row of one bucket, tombstones and ``__seq`` included,
+    conformed to the state schema (``columns``: payload projection; keys
+    are always kept). A single-file source is opened once and not
+    LWW-folded (state files hold one row per key); a chain is folded."""
+    if src.chain or src.base is None:
+        return read_bucket_state(
+            spec, evolved, src.lake_dir, src.base, list(src.chain), src.bucket,
+            columns=columns,
+        )
+    st = state_schema(spec, evolved, columns)
+    pf = pq.ParquetFile(src.files()[0])
+    names = set(pf.schema_arrow.names)
+    return conform(pf.read(columns=[f.name for f in st if f.name in names]), st)
+
+
 def diff_live(spec, evolved, old: Source | None, new: Source | None,
               update_preimages: bool = False) -> pa.Table:
     """The change feed of one bucket: :func:`snapshot_diff` of the live
@@ -238,6 +263,28 @@ def diff_bucket(pairs, spec, evolved, update_preimages):
         [diff_live(spec, evolved, o, n, update_preimages) for o, n in pairs]
     )
     return out, out.num_rows
+
+
+@ray.remote(num_returns=2)
+def map_group(fn, units, *args):
+    """One task of :meth:`SnapshotReader.map_buckets`: ``fn(unit, *args)
+    -> (payload, meta)`` per unit, in order. Payloads and metas return as
+    two objects, so a caller can fetch the small metas alone."""
+    out = [fn(u, *args) for u in units]
+    return [p for p, _ in out], [m for _, m in out]
+
+
+def _sources(unit) -> list[Source]:
+    """The sources a map unit reads: a Source, or the Sources in a tuple."""
+    if isinstance(unit, Source):
+        return [unit]
+    if isinstance(unit, tuple):
+        return [s for s in unit if isinstance(s, Source)]
+    return []
+
+
+def _cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 1))
 
 
 def plan_groups(sizes: list[int], n_cpus: int, budget: int = GROUP_BYTES) -> list[list[int]]:
@@ -472,6 +519,89 @@ class SnapshotReader:
             out.extend(src.files())
         return list(dict.fromkeys(out))
 
+    # ------------------------------------------------------ file classes
+    def served_files(self) -> set[str]:
+        """Names of the state files a snapshot served under the retention
+        policy reads: the tip's, those retired but not yet purged
+        (``retain_batches``) and, with ``gc_old_versions=False``, every
+        file a committed lineage record names (time travel rebuilds its
+        pointers from them). The one classifier behind ``fsck`` and
+        ``gc_orphans``."""
+        m = self.ckpt._m
+        out = {os.path.basename(f) for f in self.state_files()}
+        out |= {f for f, _ in m.get("retired_files", [])}
+        out |= {part_name(b, v) for b, v, *_ in m.get("retired", [])}
+        if not self.gc_old_versions:
+            wm = self.ckpt.watermark
+            for rec in self._lineage():
+                if rec.get("kind") != "bucket" or rec["batch_id"] > wm:
+                    continue
+                b, v = rec["bucket"], rec["version"]
+                if "group" in rec:
+                    out.add(gdelta_name(rec["group"], v))
+                else:  # a rewrite version, a delta or a reshard/backfill base
+                    out |= {part_name(b, v), delta_name(b, v)}
+        return out
+
+    def unserved(self) -> list[str]:
+        """Parquet files in the lake root that no served snapshot reads."""
+        on_disk = {
+            os.path.basename(p)
+            for p in glob.glob(os.path.join(self.lake_dir, "*.parquet"))
+        }
+        return sorted(on_disk - self.served_files())
+
+    def fsck(self) -> dict:
+        """Metadata-only integrity check: every file the tip references
+        exists (``missing`` otherwise), and the lake-root Parquet files no
+        served snapshot reads are listed as ``orphans``. See
+        ``ReplayEngine.fsck``."""
+        referenced = {os.path.basename(f) for f in self.state_files()}
+        missing = sorted(
+            f
+            for f in referenced
+            if not os.path.exists(os.path.join(self.lake_dir, f))
+        )
+        return {
+            "ok": not missing,
+            "missing": missing,
+            "orphans": self.unserved(),
+            "n_referenced": len(referenced),
+        }
+
+    def history(self) -> pa.Table:
+        """The commit log from the checkpoint manifest, newest first. See
+        ``ReplayEngine.history``."""
+        rows = [
+            {
+                "batch_id": int(bid_s),
+                "commit_ts": float(s.get("commit_ts") or float("nan")),
+                "operation": s.get("dml", "ingest"),
+                "n_events": s.get("n_events"),
+                "n_upserts": s.get("n_upserts"),
+                "n_deletes": s.get("n_deletes"),
+                "n_dead_lettered": s.get("n_dead_lettered"),
+                "buckets_touched": s.get("buckets_touched"),
+            }
+            for bid_s, s in self.ckpt._m["batches"].items()
+        ]
+        rows.sort(key=lambda r: -r["batch_id"])
+        schema = pa.schema(
+            [
+                ("batch_id", pa.int64()),
+                ("commit_ts", pa.float64()),
+                ("operation", pa.string()),
+                ("n_events", pa.int64()),
+                ("n_upserts", pa.int64()),
+                ("n_deletes", pa.int64()),
+                ("n_dead_lettered", pa.int64()),
+                ("buckets_touched", pa.int64()),
+            ]
+        )
+        if not rows:
+            return schema.empty_table()
+        return pa.Table.from_pylist(rows, schema=schema)
+
     def columns(self, evolved, columns=None, keep=()) -> list[str]:
         """The output columns of a projected read, canonical order;
         unknown names raise. ``keep`` columns are always kept."""
@@ -484,14 +614,15 @@ class SnapshotReader:
         return [c for c in cols if c in set(columns) | set(keep)]
 
     # ------------------------------------------------------------ dispatch
-    def _count(self, srcs) -> list[int]:
-        """Record the distinct files ``srcs`` open; return each
-        source's on-disk size (the group planner's weight)."""
+    def _count(self, units) -> list[int]:
+        """Record the distinct files ``units`` (Sources, or tuples holding
+        Sources) open; return each unit's on-disk size (the group
+        planner's weight)."""
         sizes = []
         seen: dict[str, int] = {}
-        for src in srcs:
+        for unit in units:
             n = 0
-            for path in src.files():
+            for path in (p for src in _sources(unit) for p in src.files()):
                 if path not in seen:
                     try:
                         seen[path] = os.path.getsize(path)
@@ -504,7 +635,7 @@ class SnapshotReader:
         return sizes
 
     def _dispatch(self, task, units: list, sizes: list[int], *args) -> list:
-        groups = plan_groups(sizes, int(ray.cluster_resources().get("CPU", 1)))
+        groups = plan_groups(sizes, _cpus())
         refs, rows = [], []
         for g in groups:
             ref, n = task.remote([units[i] for i in g], *args)
@@ -513,6 +644,33 @@ class SnapshotReader:
         self.stats["tasks"] += len(groups)
         self.stats["rows"] += sum(ray.get(rows))
         return refs
+
+    def map_buckets(self, fn, units: list, *args) -> tuple[list, list]:
+        """Run ``fn(unit, *args) -> (payload, meta)`` over ``units`` (a
+        Source per bucket, or a tuple holding Sources) in one task per
+        :func:`plan_groups` group. Returns ``(payload_refs, meta_refs)``,
+        one ref each per group, resolving to that group's per-unit
+        results in unit order. ``meta`` is a small dict; its ``"rows"``
+        counts the state rows ``fn`` read. Non-blocking: the caller
+        fetches metas with :meth:`gather` and leaves bulky payloads in
+        the object store."""
+        sizes = self._count(units)
+        groups = plan_groups(sizes, _cpus())
+        return self.map_groups(fn, [[units[i] for i in g] for g in groups], *args)
+
+    def map_groups(self, fn, groups: list, *args) -> tuple[list, list]:
+        """:meth:`map_buckets` over given groups: lists of units, or refs
+        to them (a previous wave's payloads, fetched by the task)."""
+        refs = [map_group.remote(fn, g, *args) for g in groups]
+        self.stats["tasks"] += len(refs)
+        return [p for p, _ in refs], [m for _, m in refs]
+
+    def gather(self, meta_refs: list) -> list[list]:
+        """Fetch :meth:`map_buckets` metas, one list per group, and count
+        the rows they read."""
+        metas = ray.get(meta_refs)
+        self.stats["rows"] += sum(m.get("rows", 0) for ms in metas for m in ms)
+        return metas
 
     # --------------------------------------------------------------- reads
     def live_refs(self, as_of=None, columns=None, where=()):
@@ -559,10 +717,9 @@ class SnapshotReader:
     def diff_refs(self, evolved, pairs, update_preimages=False) -> list:
         """Change-feed table refs, one per bucket group, for ``(old,
         new)`` source pairs (sources may live in different lakes)."""
-        flat = iter(self._count(s for pair in pairs for s in pair if s is not None))
-        sizes = [sum(next(flat) for s in pair if s is not None) for pair in pairs]
         return self._dispatch(
-            diff_bucket, pairs, sizes, self.spec, evolved, update_preimages
+            diff_bucket, pairs, self._count(pairs), self.spec, evolved,
+            update_preimages,
         )
 
     def change_schema(self, evolved) -> pa.Schema:

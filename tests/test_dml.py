@@ -45,16 +45,15 @@ _upd_set = lambda rows: {  # noqa: E731
 
 
 @pytest.mark.parametrize(
-    "mode,exchange",
-    [("rewrite", "raycore"), ("delta", "raycore"), ("rewrite", "groupby")],
+    "mode", ["rewrite", "delta"], ids=["rewrite-raycore", "delta-raycore"]
 )
-def test_dml_matches_oracle(tmp_path, mode, exchange):
+def test_dml_matches_oracle(tmp_path, mode):
     meta = generate_change_events(
         str(tmp_path), n_events=3000, n_batches=3, seed=11
     )
     spec = repo_file_spec(num_buckets=16)
     lake = str(tmp_path / "lake")
-    eng = ReplayEngine(spec, lake, state_mode=mode, exchange=exchange)
+    eng = ReplayEngine(spec, lake, state_mode=mode)
     eng.replay(meta["events_dir"])
 
     s = eng.delete_where(_del_md)

@@ -5,7 +5,9 @@ Child mode (one fresh Ray session per invocation, like bench.py
 --headline-only): replay the cached 4M/16-batch scaling input in
 state_mode="delta" with wall-time accounting of the three driver-blocking
 phases — merge-wave drain (ray.get on the batch's _delta_group refs),
-mid-run folds (_fold_buckets), and _finish_batch commit work — so the
+mid-run background folds (_submit_folds and _apply_fold_results:
+submitting the grouped fold tasks, waiting for them and committing
+them), and _finish_batch commit work — so the
 scaling loss between 4 and 16 cpus can be attributed.
 """
 
@@ -55,13 +57,20 @@ def main() -> int:
     timings = {"fold_sec": 0.0, "fold_calls": 0, "drain_wait_sec": 0.0,
                "finish_sec": 0.0, "submit_sec": 0.0}
 
-    real_fold = rp.ReplayEngine._fold_buckets
+    real_submit_folds = rp.ReplayEngine._submit_folds
+    real_apply_folds = rp.ReplayEngine._apply_fold_results
 
-    def timed_fold(self, targets, min_retained_seq="keep"):
+    def timed_submit_folds(self, *a, **kw):
         t0 = time.perf_counter()
-        out = real_fold(self, targets, min_retained_seq)
+        out = real_submit_folds(self, *a, **kw)
         timings["fold_sec"] += time.perf_counter() - t0
         timings["fold_calls"] += 1
+        return out
+
+    def timed_apply_folds(self, *a, **kw):
+        t0 = time.perf_counter()
+        out = real_apply_folds(self, *a, **kw)
+        timings["fold_sec"] += time.perf_counter() - t0
         return out
 
     real_finish = rp.ReplayEngine._finish_batch
@@ -88,7 +97,8 @@ def main() -> int:
         timings["submit_sec"] += time.perf_counter() - t0
         return out
 
-    rp.ReplayEngine._fold_buckets = timed_fold
+    rp.ReplayEngine._submit_folds = timed_submit_folds
+    rp.ReplayEngine._apply_fold_results = timed_apply_folds
     rp.ReplayEngine._finish_batch = timed_finish
     rp.ray.get = timed_get
     rp.submit_batch = timed_submit
