@@ -117,14 +117,13 @@ def run_headline(
         warm_lake = tempfile.mkdtemp(prefix="gepr_bench_warm_")
         ReplayEngine(
             repo_file_spec(num_buckets=num_buckets), warm_lake,
-            compute_bucket_hash=False, state_mode=state_mode,
+            state_mode=state_mode,
         ).replay(warm_ev)
         shutil.rmtree(warm_lake, ignore_errors=True)
 
         eng = ReplayEngine(
             repo_file_spec(num_buckets=num_buckets),
             lake,
-            compute_bucket_hash=False,  # hashing is the verify path, not the job
             state_mode=state_mode,
         )
         t0 = time.perf_counter()

@@ -54,7 +54,6 @@ def ReplayEngine_for(args, lake_dir):
     return ReplayEngine(
         repo_file_spec(num_buckets=args.num_buckets),
         lake_dir,
-        compute_bucket_hash=not args.no_bucket_hash,
         state_mode=args.state_mode,
         window=args.window,
     )
@@ -86,7 +85,6 @@ def main(argv=None) -> int:
     p.add_argument("--num-buckets", type=int, default=64)
     p.add_argument("--state-mode", choices=["rewrite", "delta"], default="rewrite")
     p.add_argument("--window", type=int, default=4)
-    p.add_argument("--no-bucket-hash", action="store_true")
     p.add_argument("--out-lake", help="reshard: destination lake dir")
     p.add_argument("--factor", type=int, default=2, help="reshard factor")
     p.add_argument("--sort-col", help="optimize: column to cluster by")

@@ -209,19 +209,3 @@ def table_sha256(table: pa.Table, key_cols) -> str:
             h.update(v.encode("utf-8"))
             h.update(row_sep)
     return h.hexdigest()
-
-
-def combine_bucket_hashes(bucket_hashes: dict[int, str]) -> str:
-    """Full-table digest from per-bucket digests, in bucket order.
-
-    Buckets partition the key space and rows are key-sorted within a
-    bucket... but bucket id is a *hash* of the key, so concatenating
-    bucket digests in bucket-id order is NOT the same as hashing the
-    globally key-sorted table. This combined digest is therefore a fast
-    engine-internal fingerprint; oracle comparison uses
-    :func:`table_sha256` over the assembled live table.
-    """
-    h = hashlib.sha256()
-    for b in sorted(bucket_hashes):
-        h.update(f"{b}:{bucket_hashes[b]};".encode())
-    return h.hexdigest()

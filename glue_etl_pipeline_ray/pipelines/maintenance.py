@@ -12,8 +12,10 @@ snapshot read plus one atomic commit.
               bucket at its new file, then the superseded files are
               retired (retention window) or removed
 
-``_commit_rewrite`` is the only code here that knows which state layout
-the lake uses. :class:`Maintenance` is a mixin of ``ReplayEngine``.
+Every bucket is a base file plus a chain of group-file entries, whichever
+sink wrote it, so nothing here depends on ``state_mode``; ``_release`` is
+also the tail of every batch commit. :class:`Maintenance` is a mixin of
+``ReplayEngine``.
 """
 
 from __future__ import annotations
@@ -254,35 +256,14 @@ class Maintenance:
     """Maintenance methods of ``ReplayEngine`` (see the module docstring)."""
 
     # ---------------------------------------------------------- commit tail
-    def _commit_rewrite(
-        self,
-        old: dict[int, Source],
-        new_v: dict[int, int],
-        at: int,
-        summary: dict | None = None,
-        evolved=None,
-    ) -> None:
-        """The commit tail of every rewrite: ONE manifest write points
-        each bucket of ``new_v`` at part-file version ``new_v[b]`` (the
-        rewrite layout's ``bucket_versions``; the delta layout's base,
-        with the chain ``old[b]`` folded into it — see
-        ``CheckpointManager.record_rewrite`` for ``summary`` and
-        ``evolved``). Then, post-commit (a crash only leaves extra files,
-        never dangling pointers), the files of ``old`` that the tip no
-        longer reads are retired tagged ``at`` (``retain_batches``: still
-        the only source of as-of reads before ``at``, purged once the
-        horizon passes it) or removed. A history-keeping lake
-        (``gc_old_versions=False``) keeps them: its time travel reads
-        them."""
-        delta = self.state_mode == "delta"
-        if delta:
-            folds = {
-                b: {"base": v, "folded_deltas": list(old[b].chain)}
-                for b, v in new_v.items()
-            }
-            self.ckpt.record_rewrite(summary, None, folds, evolved)
-        else:
-            self.ckpt.record_rewrite(summary, new_v, None, evolved)
+    def _release(self, old: dict[int, Source], at: int) -> None:
+        """The tail of every commit, run after the manifest write (a
+        crash only leaves extra files, never dangling pointers): the
+        files of the ``old`` sources that the tip no longer reads are
+        retired tagged ``at`` (``retain_batches``: still the only source
+        of as-of reads before ``at``, purged once the horizon passes it)
+        or removed. A history-keeping lake (``gc_old_versions=False``)
+        keeps them: its time travel reads them."""
         if not self.gc_old_versions:
             return
         still = {
@@ -291,21 +272,39 @@ class Maintenance:
             for f in s.files()
         }
         dead = {
-            os.path.basename(f): b
-            for b in new_v
-            for f in old[b].files()
-            if os.path.basename(f) not in still
+            os.path.basename(f) for s in old.values() for f in s.files()
+        } - still
+        if self.retain_batches is not None:
+            self.ckpt.retire_files([(name, at) for name in sorted(dead)])
+            dead = self.ckpt.purge_retired_files(
+                self.ckpt.watermark - self.retain_batches
+            )
+        for name in dead:
+            try:
+                os.remove(os.path.join(self.lake_dir, name))
+            except FileNotFoundError:
+                pass
+
+    def _commit_rewrite(
+        self,
+        old: dict[int, Source],
+        new_v: dict[int, int],
+        at: int,
+        summary: dict | None = None,
+        evolved=None,
+    ) -> None:
+        """Commit a maintenance rewrite: ONE manifest write points each
+        bucket of ``new_v`` at base version ``new_v[b]``, with the chain
+        of ``old[b]`` folded into it (see
+        ``CheckpointManager.record_rewrite`` for ``summary`` and
+        ``evolved``), then :meth:`_release` deals with the files of
+        ``old``."""
+        folds = {
+            b: {"base": v, "folded_deltas": list(old[b].chain)}
+            for b, v in new_v.items()
         }
-        if self.retain_batches is None:
-            for name in dead:
-                try:
-                    os.remove(os.path.join(self.lake_dir, name))
-                except FileNotFoundError:
-                    pass
-        elif delta:
-            self.ckpt.retire_files([(name, at) for name in dead])
-        else:
-            self.ckpt.retire_versions([[b, old[b].base, at] for b in dead.values()])
+        self.ckpt.record_rewrite(summary, folds, evolved)
+        self._release({b: old[b] for b in new_v}, at)
 
     # -------------------------------------------------------- delta folds
     def _submit_folds(self, buckets) -> tuple:
@@ -704,7 +703,6 @@ class Maintenance:
         return type(self)(
             spec or self.spec,
             lake_dir,
-            compute_bucket_hash=self.compute_bucket_hash,
             num_exchange=self.num_exchange,
             window=self.window,
             gc_old_versions=self.gc_old_versions,
@@ -739,14 +737,12 @@ class Maintenance:
 
         Tombstones are carried (a late stale update to a deleted key
         must still lose LWW after the reshard). The new manifest copies
-        watermark / committed / evolved / batch summaries and seeds
-        both layouts (``bucket_versions`` for rewrite,
-        ``bucket_deltas`` bases for delta), so the new engine opens in
-        either state mode. Commit point = the new lake's manifest write
-        (atomic rename); a crashed reshard re-runs with deterministic
-        file names. Pre-reshard history (time travel, change feed) stays
-        with the OLD lake — consumers resync by snapshot, the same
-        contract as a passed retention horizon.
+        watermark / committed / evolved / batch summaries and points
+        every written bucket at its new base. Commit point = the new
+        lake's manifest write (atomic rename); a crashed reshard re-runs
+        with deterministic file names. Pre-reshard history (time travel,
+        change feed) stays with the OLD lake — consumers resync by
+        snapshot, the same contract as a passed retention horizon.
 
         Single-writer operation: run between ingest runs.
         """
@@ -832,7 +828,6 @@ class Maintenance:
             "committed": sorted(self.ckpt.committed),
             "evolved": [list(e) for e in evolved],
             "batches": self.ckpt._m.get("batches", {}),
-            "bucket_versions": {str(b): wm for b in new_buckets},
             "bucket_deltas": {
                 str(b): {"base": wm, "deltas": []} for b in new_buckets
             },

@@ -14,11 +14,11 @@ event of a key, including DELETEs) so a key's whole history lands in
 exactly one table — same constraint the reference's service-prefix
 routing satisfies.
 
-Scale note: each table scans the stream once (read amplification = N).
-That is the reference's own layout (per-table JSONL reads) and keeps
-per-table checkpoints independent; a shared-scan variant would fuse
-routing into one map wave and feed N exchanges — noted as future work,
-not needed at current table counts.
+Scale note: by default each table scans the stream once (read
+amplification = N). That is the reference's own layout (per-table JSONL
+reads) and keeps per-table checkpoints independent.
+``replay(shared_scan=True)`` fuses routing into one map wave that feeds
+every table's merge wave (read amplification 1; rewrite sink only).
 """
 
 from __future__ import annotations
@@ -67,7 +67,10 @@ class MultiTableReplayer:
                 n: e.replay(events_dir, max_batches=max_batches)
                 for n, e in self.engines.items()
             }
-        assert max_batches is None, "max_batches requires shared_scan=False"
+        if max_batches is not None:
+            raise ValueError("max_batches requires shared_scan=False")
+        if any(e.state_mode != "rewrite" for e in self.engines.values()):
+            raise ValueError("shared_scan needs state_mode='rewrite' on every table")
         return self._replay_shared(events_dir)
 
     def _replay_shared(self, events_dir: str) -> dict[str, dict]:
@@ -99,25 +102,16 @@ class MultiTableReplayer:
         from glue_etl_pipeline_ray.stages.evolve import discover_evolved
         from glue_etl_pipeline_ray.stages.exchange import (
             default_num_exchange,
-            group_of,
             read_file_metas,
             submit_batch_multi,
         )
 
         engines = self.engines
         any_eng = next(iter(engines.values()))
-        assert all(e.state_mode == "rewrite" for e in engines.values()), (
-            "shared_scan supports state_mode='rewrite'"
-        )
         ne = any_eng.num_exchange or default_num_exchange(any_eng.spec)
 
         # per-(table, group) chains seeded from each table's manifest
-        prev: dict[str, list] = {}
-        for n, e in engines.items():
-            chains = [{"versions": {}} for _ in range(ne)]
-            for b, v in e.ckpt.bucket_versions.items():
-                chains[group_of(b, ne, e.spec.num_buckets)]["versions"][b] = v
-            prev[n] = chains
+        prev = {n: e._merge_seeds(ne) for n, e in engines.items()}
         evolved = {n: e.ckpt.evolved for n, e in engines.items()}
 
         batches = discover_batches(events_dir)
@@ -136,11 +130,7 @@ class MultiTableReplayer:
                 e = engines[n]
                 outs = ray.get(fl["refs"][n])
                 records = [r for o in outs for r in o["records"]]
-                new_versions = {
-                    rec["bucket"]: rec["version"]
-                    for o in outs
-                    for rec in o["records"]
-                }
+                new_versions = {rec["bucket"]: rec["version"] for rec in records}
                 summaries[n].append(
                     e._finish_batch(
                         fl["batch_id"],
@@ -187,11 +177,7 @@ class MultiTableReplayer:
                 }
                 for n in todo
             ]
-            refs = submit_batch_multi(
-                tables, files, bid, ne,
-                compute_hash=any_eng.compute_bucket_hash,
-                metas=metas,
-            )
+            refs = submit_batch_multi(tables, files, bid, ne, metas=metas)
             for n in todo:
                 prev[n] = refs[n]
             inflight.append(
@@ -294,7 +280,7 @@ class MultiTableReplayer:
     def consistent_tables(self) -> dict[str, pa.Table]:
         """Every table as-of the group watermark — a cross-table
         consistent snapshot even while some tables have raced ahead.
-        Needs readable history (``state_mode="delta"`` or
+        Needs readable history (``gc_old_versions=False`` or
         ``retain_batches``) when any per-table watermark is past the
         group watermark; with all watermarks equal it falls back to the
         plain tip read (no history required)."""

@@ -61,7 +61,6 @@ from glue_etl_pipeline_ray.stages.exchange import (
     read_file_metas,
     submit_batch,
 )
-from glue_etl_pipeline_ray.stages.merge import part_name
 from glue_etl_pipeline_ray.state.checkpoint import CheckpointManager
 from glue_etl_pipeline_ray.state.lease import with_writer_lease
 from glue_etl_pipeline_ray.state.lineage import write_lineage
@@ -111,7 +110,6 @@ class ReplayEngine(Maintenance, Dml):
         self,
         spec: TableSpec,
         lake_dir: str,
-        compute_bucket_hash: bool = True,
         num_exchange: int | None = None,
         window: int = 4,
         gc_old_versions: bool = True,
@@ -127,13 +125,18 @@ class ReplayEngine(Maintenance, Dml):
         groups (default: ``default_num_exchange``). ``window``: max
         batches in flight before the oldest is drained + committed.
 
-        ``state_mode``: "rewrite" (default) merges each touched bucket
-        against its prior state every batch — O(state) per batch, simplest
-        reads. "delta" (LSM path) appends per-batch delta files with NO
-        prior-state read — O(batch) per batch, mandatory when state >>
-        batch (the 10^10-event regime); reads fold base+deltas and
-        buckets exceeding ``fold_threshold`` deltas are compacted in the
-        background of the commit loop.
+        ``state_mode`` picks the sink, nothing else: "rewrite" (default)
+        merges each touched bucket against its prior state into a new
+        base file every batch — O(state) per batch, simplest reads.
+        "delta" (LSM path) appends the batch's rows as one group file per
+        exchange group with NO prior-state read — O(batch) per batch,
+        mandatory when state >> batch (the 10^10-event regime); buckets
+        whose chains exceed ``fold_threshold`` entries are folded into a
+        new base in the background of the commit loop. Both sinks commit
+        the same pointers (a base plus a chain), so the manifest, reads,
+        maintenance and time travel do not depend on the mode, and any
+        engine reads or continues any lake: the rewrite sink first folds
+        the chains it finds on the tip.
 
         ``retain_batches``: bounded history (the Delta-Lake retention
         model, the 10^10-scale middle ground between eager GC and
@@ -141,10 +144,9 @@ class ReplayEngine(Maintenance, Dml):
         watermark passes them by N batches, so time travel and the change
         feed work for any ``as_of >= watermark - N`` while storage stays
         O(state + N batches of churn). Consumers (views, replicas) must
-        sync at least every N batches. Both modes: rewrite retires
-        superseded part files; delta retires fold-superseded delta/base
-        files (tagged with the fold version) and anchors as-of rebuilds
-        on the newest fold at or below the requested batch.
+        sync at least every N batches. Files a commit supersedes are
+        retired, tagged with the version from which as-of reads anchor
+        on their successor.
 
         ``writer_lease``: make the single-writer assumption explicit —
         every mutating call (replay/compact/gc/backfill/redrive/reshard)
@@ -164,7 +166,6 @@ class ReplayEngine(Maintenance, Dml):
                 )
         self.spec = spec
         self.lake_dir = lake_dir
-        self.compute_bucket_hash = compute_bucket_hash
         self.num_exchange = num_exchange
         self.window = max(1, window)
         self.gc_old_versions = gc_old_versions
@@ -297,21 +298,20 @@ class ReplayEngine(Maintenance, Dml):
         spec = self.spec
         ne = self.num_exchange or default_num_exchange(spec)
         ne = max(1, min(ne, spec.num_buckets))
-        # seed each group's chain with the committed snapshot pointers
-        prev_by_group: list = [
-            {"versions": {}} for _ in range(ne)
-        ]
-        for b, v in self.ckpt.bucket_versions.items():
-            prev_by_group[group_of(b, ne, spec.num_buckets)]["versions"][b] = v
+        rewrite = self.state_mode == "rewrite"
+        # the rewrite sink chains each group's merges, seeded with the
+        # committed bases; the delta sink reads no prior state
+        prev_by_group = self._merge_seeds(ne) if rewrite and pending else [None] * ne
 
         evolved = self.ckpt.evolved
         inflight: list[dict] = []
         summaries: list[dict] = []
-        # delta-mode background compaction: fold tasks overlap the map and
-        # reduce waves (an LSM compacts in the background; the round-2 sync
-        # fold was ~20% of wall as a serial pipeline barrier). At most one
-        # fold in flight per bucket; results are harvested non-blocking at
-        # each drain and blocking at the end of the run.
+        # background compaction of delta chains: fold tasks overlap the
+        # map and reduce waves (an LSM compacts in the background; the
+        # round-2 sync fold was ~20% of wall as a serial pipeline
+        # barrier). At most one fold in flight per bucket; results are
+        # harvested non-blocking at each drain and blocking at the end of
+        # the run. The rewrite sink leaves no chains, so it never folds.
         fold_pending: list[tuple] = []
         folding: set[int] = set()
 
@@ -332,16 +332,14 @@ class ReplayEngine(Maintenance, Dml):
             fl = inflight.pop(0)
             outs = ray.get(fl["merge_refs"])
             records = [r for o in outs for r in o["records"]]
-            new_versions: dict[int, object] = {}
-            for o in outs:
-                for rec in o["records"]:
-                    # delta group-file records carry the exchange group id;
-                    # their chain pointer is the [version, group] pair
-                    new_versions[rec["bucket"]] = (
-                        [rec["version"], rec["group"]]
-                        if "group" in rec
-                        else rec["version"]
-                    )
+            # a group-file record's chain entry is its [version, group]
+            # pair; a merged bucket's new base is its version
+            pointers = {
+                rec["bucket"]: (
+                    [rec["version"], rec["group"]] if "group" in rec else rec["version"]
+                )
+                for rec in records
+            }
             summaries.append(
                 self._finish_batch(
                     fl["batch_id"],
@@ -349,31 +347,28 @@ class ReplayEngine(Maintenance, Dml):
                     fl["n_events"],
                     fl["dlq_dir"],
                     records,
-                    new_versions,
+                    pointers,
                     _fail_before_commit=(fl["batch_id"] == fail_before_commit_of),
                 )
             )
-            if self.state_mode == "delta":
-                # compact buckets whose delta chains grew past threshold;
-                # delta-mode merges never read state, so folding is safe
-                # concurrently with in-flight batches — submit and move on
-                harvest_folds(block=False)
-                # per-bucket threshold jitter desynchronizes compaction: on
-                # a fresh lake every chain hits the base threshold at the
-                # SAME batch, and a 64-bucket fold storm competing with the
-                # in-flight waves beats the box harder than the serial fold
-                # it replaced. Jittered cadences (threshold..2*threshold-1
-                # by bucket) keep folds a steady trickle forever.
-                ft = self.fold_threshold
-                over = {
-                    b: d
-                    for b, d in self.ckpt.bucket_deltas.items()
-                    if len(d["deltas"]) >= ft + (b % ft)
-                    and b not in folding
-                }
-                if over:
-                    folding.update(over)
-                    fold_pending.append(self._submit_folds(over))
+            # folding is safe concurrently with in-flight delta batches:
+            # their reduces never read state. Per-bucket threshold jitter
+            # desynchronizes compaction: on a fresh lake every chain hits
+            # the base threshold at the SAME batch, and a 64-bucket fold
+            # storm competing with the in-flight waves beats the box
+            # harder than the serial fold it replaced. Jittered cadences
+            # (threshold..2*threshold-1 by bucket) keep folds a steady
+            # trickle forever.
+            harvest_folds(block=False)
+            ft = self.fold_threshold
+            over = {
+                b: d
+                for b, d in self.ckpt.bucket_deltas.items()
+                if len(d["deltas"]) >= ft + (b % ft) and b not in folding
+            }
+            if over:
+                folding.update(over)
+                fold_pending.append(self._submit_folds(over))
 
         for bid, files in pending:
             # ONE footer read per file serves schema discovery, the
@@ -393,14 +388,12 @@ class ReplayEngine(Maintenance, Dml):
                 dlq_dir,
                 bid,
                 prev_by_group,
-                compute_hash=self.compute_bucket_hash,
                 num_exchange=ne,
                 state_mode=self.state_mode,
                 event_filter=self.event_filter,
                 metas=metas,
             )
-            if self.state_mode == "rewrite":
-                # chain per-group merges; delta merges are independent
+            if rewrite:
                 prev_by_group = merge_refs
             inflight.append(
                 {
@@ -416,22 +409,20 @@ class ReplayEngine(Maintenance, Dml):
         while inflight:
             drain_one()
         harvest_folds(block=True)
-        # folds harvested after the last commit retire files with no
-        # commit following to purge them — sweep once at the end so the
-        # retention bound holds at rest, not only mid-stream
-        if (
-            self.state_mode == "delta"
-            and self.gc_old_versions
-            and self.retain_batches is not None
-            and self.ckpt.watermark >= 0
-        ):
-            horizon = self.ckpt.watermark - self.retain_batches
-            for fname in self.ckpt.purge_retired_files(horizon):
-                try:
-                    os.remove(os.path.join(self.lake_dir, fname))
-                except FileNotFoundError:
-                    pass
         return summaries
+
+    def _merge_seeds(self, ne: int) -> list[dict]:
+        """The rewrite sink's per-group chain seeds: every bucket's
+        committed base version. Chains on the tip (a lake the delta sink
+        wrote) are folded first, in one blocking wave: the rewrite merge
+        reads one base file and never merges over a chain."""
+        chained = {b for b, d in self.ckpt.bucket_deltas.items() if d["deltas"]}
+        if chained:
+            self._apply_fold_results(*self._submit_folds(chained))
+        seeds: list[dict] = [{"versions": {}} for _ in range(ne)]
+        for b, v in self.ckpt.bucket_versions.items():
+            seeds[group_of(b, ne, self.spec.num_buckets)]["versions"][b] = v
+        return seeds
 
     def apply_batch(
         self, batch_id: int, files: list[str], _fail_before_commit: bool = False
@@ -451,7 +442,7 @@ class ReplayEngine(Maintenance, Dml):
         n_events: int,
         dlq_dir: str,
         records: list[dict],
-        new_versions: dict[int, int],
+        pointers: dict[int, object],
         _fail_before_commit: bool = False,
     ) -> dict:
         if self._active_lease is not None:
@@ -465,7 +456,6 @@ class ReplayEngine(Maintenance, Dml):
                 for f in os.listdir(dlq_dir)
                 if f.endswith(".parquet")
             )
-        delta = self.state_mode == "delta"
         summary = {
             "batch_id": batch_id,
             "n_events": n_events,
@@ -473,9 +463,13 @@ class ReplayEngine(Maintenance, Dml):
             "n_merged_events": sum(r["n_events"] for r in records),
             "n_upserts": sum(r["n_upserts"] for r in records),
             "n_deletes": sum(r["n_deletes"] for r in records),
-            # per-batch live counts require reading state — deferred to
-            # reads/compaction in delta mode
-            "n_live": -1 if delta else sum(r["n_live"] for r in records),
+            # a group-file record does not know its bucket's live count
+            # (-1: counted only by reads and folds)
+            "n_live": (
+                -1
+                if any(r["n_live"] < 0 for r in records)
+                else sum(r["n_live"] for r in records)
+            ),
             "buckets_touched": len(records),
             "evolved": [list(e) for e in evolved],
         }
@@ -488,49 +482,10 @@ class ReplayEngine(Maintenance, Dml):
             summary.update(extra)
         if _fail_before_commit:
             raise RuntimeError(f"injected crash before commit of batch {batch_id}")
-        old_versions = self.ckpt.bucket_versions
+        old = SnapshotReader.of(self).resolve(buckets=pointers)
         write_lineage(self.lake_dir, batch_id, records, summary)
-        if delta:
-            self.ckpt.commit_batch(
-                batch_id, evolved, summary, new_deltas=new_versions
-            )
-            if self.gc_old_versions and self.retain_batches is not None:
-                horizon = self.ckpt.watermark - self.retain_batches
-                for fname in self.ckpt.purge_retired_files(horizon):
-                    try:
-                        os.remove(os.path.join(self.lake_dir, fname))
-                    except FileNotFoundError:
-                        pass
-            return summary
-        self.ckpt.commit_batch(batch_id, evolved, summary, new_versions)
-        # GC superseded state files (post-commit, so a crash mid-GC only
-        # leaves extra files, never dangling pointers). Keep history when
-        # time-travel reads are wanted (gc_old_versions=False).
-        if not self.gc_old_versions:
-            return summary
-        if self.retain_batches is not None:
-            # bounded retention: record superseded files, delete only the
-            # ones every snapshot inside the window has outgrown
-            retired = [
-                [b, v_old, batch_id]
-                for b, v_new in new_versions.items()
-                if (v_old := old_versions.get(b)) is not None and v_old != v_new
-            ]
-            self.ckpt.retire_versions(retired)
-            horizon = self.ckpt.watermark - self.retain_batches
-            for b, v_old, _at in self.ckpt.purge_retired(horizon):
-                try:
-                    os.remove(os.path.join(self.lake_dir, part_name(b, v_old)))
-                except FileNotFoundError:
-                    pass
-            return summary
-        for b, v_new in new_versions.items():
-            v_old = old_versions.get(b)
-            if v_old is not None and v_old != v_new:
-                try:
-                    os.remove(os.path.join(self.lake_dir, part_name(b, v_old)))
-                except FileNotFoundError:
-                    pass
+        self.ckpt.commit_batch(batch_id, evolved, summary, pointers)
+        self._release(old, batch_id)
         return summary
 
     # ----------------------------------------------------------- final state
@@ -541,15 +496,6 @@ class ReplayEngine(Maintenance, Dml):
         r = SnapshotReader.of(self)
         self._last_read_stats = r.stats
         return r
-
-    def versions_as_of(self, as_of_batch: int) -> dict[int, int]:
-        """Snapshot pointer set as of a committed batch, reconstructed
-        from the lineage log (time travel; requires the engine to have
-        retained old versions — construct with ``gc_old_versions=False``).
-        On a resharded lake, raises for ``as_of`` older than the reshard
-        base (that history lives in the OLD lake) instead of silently
-        returning a partial pointer set."""
-        return SnapshotReader.of(self).versions_as_of(as_of_batch)
 
     def _state_files(self, as_of: int | None = None) -> list[str]:
         return SnapshotReader.of(self).state_files(as_of)
@@ -651,7 +597,7 @@ class ReplayEngine(Maintenance, Dml):
 
         ``columns``: projection pushed down to the Parquet reads — a
         2-column scan of a wide-payload lake reads only those columns
-        (plus the fold's own key/seq/deleted columns in delta mode)
+        (plus the fold's own key/seq/deleted columns on a chained bucket)
         instead of shipping ``content`` just to drop it. Output keeps
         canonical column order."""
         r = self._reader()
@@ -766,8 +712,8 @@ class ReplayEngine(Maintenance, Dml):
         last = per_batch.get(max(per_batch), {}) if per_batch else {}
         n_live = last.get("n_live")
         if n_live is not None and n_live < 0:
-            # -1 is the lineage sentinel for "not counted" (live counts
-            # are only tallied when bucket hashing is on)
+            # -1 is the lineage sentinel for "not counted": a batch the
+            # delta sink wrote does not know its buckets' live counts
             n_live = None
         return {
             "watermark": self.ckpt.watermark,
@@ -908,8 +854,8 @@ class ReplayEngine(Maintenance, Dml):
         single-column keys). Returns live rows in canonical layout,
         key-sorted; deleted/absent keys are simply absent. ``as_of``
         time travel follows the same retention rules as
-        ``final_dataset`` in both modes (delta mode rebuilds only the
-        touched buckets' chains from the lineage log). ``columns``:
+        ``final_dataset`` (only the touched buckets' pointers are
+        rebuilt from the lineage log). ``columns``:
         payload projection pushed into the bucket-file reads (same
         contract as ``final_dataset``). An empty key list is validated
         and shaped like a miss."""

@@ -225,7 +225,6 @@ def _merge_group(
     evolved: tuple[tuple[str, str], ...],
     lake_dir: str,
     batch_id: int,
-    compute_hash: bool,
     prev: dict,
     *slices: pa.Table,
 ) -> dict:
@@ -261,7 +260,6 @@ def _merge_group(
                 batch_id,
                 bucket,
                 t.slice(int(s), int(e - s)),
-                compute_hash=compute_hash,
             )
         )
         versions[bucket] = batch_id
@@ -354,7 +352,6 @@ def submit_batch_multi(
     files: list[str],
     batch_id: int,
     num_exchange: int,
-    compute_hash: bool = True,
     split_rows: int = DEFAULT_SPLIT_ROWS,
     metas: list | None = None,
 ) -> dict[str, list]:
@@ -391,7 +388,6 @@ def submit_batch_multi(
                 tb["evolved"],
                 tb["lake_dir"],
                 batch_id,
-                compute_hash,
                 tb["prev_by_group"][g],
                 *(map_refs[m][ti * num_exchange + g] for m in range(len(map_refs))),
             )
@@ -408,7 +404,6 @@ def submit_batch(
     dlq_dir: str,
     batch_id: int,
     prev_by_group: list,
-    compute_hash: bool = True,
     num_exchange: int | None = None,
     split_rows: int = DEFAULT_SPLIT_ROWS,
     state_mode: str = "rewrite",
@@ -462,7 +457,6 @@ def submit_batch(
             evolved,
             lake_dir,
             batch_id,
-            compute_hash,
             prev_by_group[g],
             *(map_refs[m][g] for m in range(len(map_refs))),
         )

@@ -24,8 +24,8 @@ SURVEY.md 2.9):
   key). The live table view filters tombstones out.
 
 State-file schema: canonical payload + ``__seq:int64`` + ``__deleted:bool``.
-Per-bucket lineage (events in, upserts, deletes, live rows, live-state
-sha256) is returned as the group result — the engine's analog of the
+Per-bucket lineage (events in, upserts, deletes, live rows, tombstones)
+is returned as the group result — the engine's analog of the
 per-event PROFILER audit stream (``data_profiling.py:180-189``).
 """
 
@@ -36,7 +36,6 @@ import os
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from glue_etl_pipeline_ray.hashing import table_sha256
 from glue_etl_pipeline_ray.spec import TableSpec
 from glue_etl_pipeline_ray.stages.evolve import conform
 
@@ -59,14 +58,6 @@ def state_schema(
     )
 
 
-def delta_name(bucket: int, version: int) -> str:
-    """LSM delta file: batch ``version``'s (partially reduced) upserts for
-    bucket ``bucket``, in state-row form. Written WITHOUT reading prior
-    state — the ``state_mode="delta"`` sink is O(batch) per batch instead
-    of O(state); reads/compaction fold base+deltas by the same LWW."""
-    return f"delta-{bucket:05d}-v{version:05d}.parquet"
-
-
 def gdelta_name(group: int, version: int) -> str:
     """Group-level LSM delta file: ONE file per (exchange group, batch)
     holding every touched sink bucket's rows as its own bucket-sorted
@@ -76,8 +67,7 @@ def gdelta_name(group: int, version: int) -> str:
     random access stays O(1) via the footer's bucket -> row-group map
     (:data:`GDELTA_META_KEY`), so folds read only their bucket's bytes.
     Chain pointers for these files are ``[version, group]`` pairs in the
-    checkpoint manifest (plain ints keep meaning per-bucket
-    ``delta-*`` files, so both layouts read back)."""
+    checkpoint manifest."""
     return f"gdelta-{group:05d}-v{version:05d}.parquet"
 
 
@@ -185,7 +175,6 @@ def merge_bucket_table(
     batch_id: int,
     bucket: int,
     group: pa.Table,
-    compute_hash: bool = True,
 ) -> dict:
     """Pure per-sink-bucket LWW merge + idempotent versioned write
     (``state_mode="rewrite"``: O(state) per touched bucket per batch).
@@ -193,13 +182,10 @@ def merge_bucket_table(
     ``group``: all (partially reduced) events of this batch whose key
     hashes to ``bucket``. Reads state ``part-{bucket}-v{prior_version}``
     (None = bucket never written), writes ``part-{bucket}-v{batch_id}``.
-    Returns the lineage record (incl. the new version) as a plain dict.
+    Returns the lineage record (incl. the new version) as a plain dict;
+    its ``sha256`` field is kept for the lineage schema and left empty.
     """
     import pyarrow.parquet as pq
-
-    st_schema = state_schema(spec, evolved)
-    canonical_cols = spec.canonical_cols(evolved)
-    key_cols = list(spec.key_cols)
 
     incoming, n_deletes = events_to_state(spec, evolved, group)
     tables = [incoming]
@@ -209,10 +195,7 @@ def merge_bucket_table(
     new_state = lww_state(spec, evolved, tables)
     write_atomic(os.path.join(lake_dir, part_name(bucket, batch_id)), new_state)
 
-    live = new_state.filter(pc.invert(new_state[DELETED_COL])).select(
-        canonical_cols
-    )
-    digest = table_sha256(live, key_cols) if compute_hash else ""
+    n_dead = pc.sum(new_state[DELETED_COL]).as_py() or 0
     return {
         "bucket": bucket,
         "version": batch_id,
@@ -220,37 +203,8 @@ def merge_bucket_table(
         "n_events": group.num_rows,
         "n_upserts": group.num_rows - n_deletes,
         "n_deletes": n_deletes,
-        "n_live": live.num_rows,
-        "n_tombstones": new_state.num_rows - live.num_rows,
-        "sha256": digest,
-    }
-
-
-def write_delta_bucket(
-    spec: TableSpec,
-    evolved: tuple[tuple[str, str], ...],
-    lake_dir: str,
-    batch_id: int,
-    bucket: int,
-    group: pa.Table,
-) -> dict:
-    """``state_mode="delta"`` sink: append this batch's (partially
-    reduced) state rows as ``delta-{bucket}-v{batch}`` WITHOUT reading
-    prior state — O(batch) per batch regardless of state size (the LSM
-    path for 10^10-event replays where state >> batch). LWW is deferred
-    to reads/compaction; per-batch live counts are therefore not known
-    here (``n_live=-1``)."""
-    incoming, n_deletes = events_to_state(spec, evolved, group)
-    write_atomic(os.path.join(lake_dir, delta_name(bucket, batch_id)), incoming)
-    return {
-        "bucket": bucket,
-        "version": batch_id,
-        "batch_id": batch_id,
-        "n_events": group.num_rows,
-        "n_upserts": group.num_rows - n_deletes,
-        "n_deletes": n_deletes,
-        "n_live": -1,
-        "n_tombstones": -1,
+        "n_live": new_state.num_rows - n_dead,
+        "n_tombstones": n_dead,
         "sha256": "",
     }
 
@@ -339,12 +293,6 @@ def read_gdelta_bucket(
     return pf.read_row_groups([idx], columns=cols)
 
 
-def delta_entry_version(ent) -> int:
-    """Chain entries are plain ints (per-bucket ``delta-*`` files) or
-    ``[version, group]`` pairs (group ``gdelta-*`` files)."""
-    return ent if isinstance(ent, int) else int(ent[0])
-
-
 def read_parquet_pruned(path: str, want: list[str] | None) -> pa.Table:
     """Column-projected Parquet read with the pre-evolution fallback:
     engine-written files carry every requested column, so the direct
@@ -373,9 +321,8 @@ def read_bucket_state(
     bucket: int,
     columns: list[str] | None = None,
 ) -> pa.Table:
-    """Fold a delta-mode bucket (base + ordered deltas) to its current
-    state rows. Chain entries may be per-bucket versions (int) or
-    ``[version, group]`` group-file pointers — both fold identically.
+    """Fold a bucket's base and its chain of ``[version, group]``
+    group-file entries to its current state rows.
 
     ``columns``: payload projection pushed to the Parquet reads — only
     the requested columns plus what the fold itself needs (keys,
@@ -397,15 +344,10 @@ def read_bucket_state(
     tables = []
     if base_version is not None:
         tables.append(_read(os.path.join(lake_dir, part_name(bucket, base_version))))
-    for ent in sorted(delta_versions, key=delta_entry_version):
-        if isinstance(ent, int):
-            tables.append(_read(os.path.join(lake_dir, delta_name(bucket, ent))))
-        else:
-            t = read_gdelta_bucket(
-                lake_dir, int(ent[1]), int(ent[0]), bucket, columns=want
-            )
-            if t is not None:
-                tables.append(t)
+    for v, g in sorted(delta_versions):
+        t = read_gdelta_bucket(lake_dir, int(g), int(v), bucket, columns=want)
+        if t is not None:
+            tables.append(t)
     if not tables:
         return state_schema(spec, evolved, columns).empty_table()
     return lww_state(spec, evolved, tables, columns)

@@ -11,7 +11,8 @@ idempotent merge makes a no-op.
 
 The manifest also logs the schema-evolution registry (``evolved``:
 first-seen extra columns + types) so a resumed run conforms batches to
-the same canonical layout, and per-batch lineage summaries.
+the same canonical layout, per-batch summaries and the per-bucket
+pointers of the committed snapshot (see :class:`CheckpointManager`).
 """
 
 from __future__ import annotations
@@ -19,24 +20,54 @@ from __future__ import annotations
 import json
 import os
 
+from glue_etl_pipeline_ray.stages.merge import part_name
+
 
 class CheckpointManager:
+    """The lake's manifest. One pointer map, ``bucket_deltas``: ``bucket ->
+    {"base": version | None, "deltas": [[version, group], ...]}`` — a
+    ``part-*`` base file plus the ``gdelta-*`` group-file entries folded
+    on top, whichever sink wrote them (a rewrite-sink bucket is a base
+    with an empty chain). One retirement ledger, ``retired_files``:
+    ``[name, at]`` for superseded files kept for as-of reads until the
+    retention horizon passes ``at``. ``fold_history`` lists the bases
+    folds and compactions wrote (the anchors of retained time travel)."""
+
     def __init__(self, lake_dir: str):
         self.dir = os.path.join(lake_dir, "_checkpoint")
         self.path = os.path.join(self.dir, "manifest.json")
         self._m = self._load()
 
     def _load(self) -> dict:
-        if os.path.exists(self.path):
-            with open(self.path) as f:
-                return json.load(f)
-        return {
-            "watermark": -1,
-            "committed": [],
-            "evolved": [],
-            "batches": {},
-            "bucket_versions": {},
-        }
+        if not os.path.exists(self.path):
+            return {"watermark": -1, "committed": [], "evolved": [],
+                    "batches": {}, "bucket_deltas": {}}
+        with open(self.path) as f:
+            m = json.load(f)
+        bd = m.setdefault("bucket_deltas", {})
+        for b, d in bd.items():
+            if any(not isinstance(e, list) for e in d["deltas"]):
+                raise ValueError(
+                    f"lake {os.path.dirname(self.dir)!r}: bucket {b} chains "
+                    "per-bucket delta-* files, a format this engine no "
+                    "longer reads"
+                )
+        # a manifest written before one pointer model: the rewrite layout
+        # kept ``bucket_versions`` and a ``retired`` ledger of [bucket,
+        # version, at]; a resharded lake seeded both maps, so per bucket
+        # the newer pointer wins
+        for b, v in m.pop("bucket_versions", {}).items():
+            d = bd.get(b)
+            top = -1 if d is None else max(
+                [d["base"] if d["base"] is not None else -1]
+                + [e[0] for e in d["deltas"]]
+            )
+            if v > top:
+                bd[b] = {"base": v, "deltas": []}
+        m.setdefault("retired_files", []).extend(
+            [part_name(b, v), at] for b, v, at in m.pop("retired", [])
+        )
+        return m
 
     @property
     def watermark(self) -> int:
@@ -51,20 +82,23 @@ class CheckpointManager:
         return tuple((n, t) for n, t in self._m["evolved"])
 
     @property
-    def bucket_versions(self) -> dict[int, int]:
-        """Committed state-file version per sink bucket (the snapshot
-        pointer set; files ``part-{b}-v{version}`` newer than these are
-        uncommitted orphans)."""
-        return {int(b): int(v) for b, v in self._m.get("bucket_versions", {}).items()}
+    def bucket_deltas(self) -> dict[int, dict]:
+        """The tip: ``bucket -> {"base": version | None, "deltas":
+        [[version, group], ...]}``."""
+        return {
+            int(b): {"base": d["base"], "deltas": [list(e) for e in d["deltas"]]}
+            for b, d in self._m["bucket_deltas"].items()
+        }
 
     @property
-    def bucket_deltas(self) -> dict[int, dict]:
-        """state_mode="delta" pointers: ``bucket -> {"base": version|None,
-        "deltas": [versions...]}`` (the LSM manifest)."""
-        out = {}
-        for b, d in self._m.get("bucket_deltas", {}).items():
-            out[int(b)] = {"base": d["base"], "deltas": list(d["deltas"])}
-        return out
+    def bucket_versions(self) -> dict[int, int]:
+        """Read-only view: the base version of every bucket whose tip is
+        that one file (no chain)."""
+        return {
+            int(b): d["base"]
+            for b, d in self._m["bucket_deltas"].items()
+            if d["base"] is not None and not d["deltas"]
+        }
 
     def is_committed(self, batch_id: int) -> bool:
         return batch_id in self.committed
@@ -81,7 +115,7 @@ class CheckpointManager:
                 best_k, best = ki, s["evolved"]
         out = [(n, t) for n, t in best]
         # columns a backfill added become visible in the NEXT span
-        # (watermark+1, matching versions_as_of's view of the rewrite);
+        # (watermark+1, matching the lineage walk's view of the rewrite);
         # batches committed after the backfill already log them in
         # their own summaries, so this only fills the gap before one
         have = {n for n, _ in out}
@@ -93,15 +127,6 @@ class CheckpointManager:
                         have.add(n)
         return tuple(out)
 
-    def append_deltas(self, new_deltas: dict[int, int]) -> None:
-        """Record batch deltas (called inside commit_batch via
-        new_deltas=)."""
-        bd = self._m.setdefault("bucket_deltas", {})
-        for b, v in new_deltas.items():
-            ent = bd.setdefault(str(b), {"base": None, "deltas": []})
-            if v not in ent["deltas"]:
-                ent["deltas"].append(v)
-
     @property
     def backfills(self) -> list[dict]:
         return list(self._m.get("backfills", []))
@@ -109,42 +134,29 @@ class CheckpointManager:
     def record_rewrite(
         self,
         summary: dict | None,
-        new_versions: dict[int, int] | None,
-        folds: dict[int, dict] | None,
+        folds: dict[int, dict],
         evolved: tuple[tuple[str, str], ...] | None = None,
     ) -> None:
         """Commit a maintenance rewrite of bucket state in ONE atomic
-        manifest write. Rewrite layout: ``new_versions`` bumps
-        ``bucket_versions``. Delta layout: ``folds`` maps ``bucket ->
-        {"base": new_base_version, "folded_deltas": [...]}`` — the base
-        is replaced and the folded chain entries (ints for per-bucket
-        delta files, ``[version, group]`` pairs for group files) leave
-        the chain. ``summary``: None for a background fold; a
-        ``"compaction"`` kind goes to the compactions log; any other
-        kind (backfill, optimize_sort) to the backfill ledger, the
+        manifest write. ``folds`` maps ``bucket -> {"base": version,
+        "folded_deltas": [...]}``: the base is replaced and the folded
+        chain entries leave the chain. ``summary``: None for a background
+        fold; a ``"compaction"`` kind goes to the compactions log; any
+        other kind (backfill, optimize_sort) to the backfill ledger, the
         one-rewrite-per-watermark guard, with ``evolved`` registering
         columns a backfill added. Folds and compactions are recorded in
-        ``fold_history`` (the anchors of bounded-retention time travel).
-        None of these are batches: no batch summary, no watermark
-        change."""
-
-        def _key(v):
-            return tuple(v) if isinstance(v, (list, tuple)) else v
-
+        ``fold_history``. None of these are batches: no batch summary, no
+        watermark change."""
         m = self._m
         is_fold = summary is None or summary.get("kind") == "compaction"
         if summary is not None:
             ledger = "compactions" if is_fold else "backfills"
             m.setdefault(ledger, []).append(summary)
-        for b, v in (new_versions or {}).items():
-            m.setdefault("bucket_versions", {})[str(b)] = int(v)
-        for b, f in (folds or {}).items():
-            ent = m.setdefault("bucket_deltas", {}).setdefault(
-                str(b), {"base": None, "deltas": []}
-            )
+        for b, f in folds.items():
+            ent = m["bucket_deltas"].setdefault(str(b), {"base": None, "deltas": []})
             ent["base"] = int(f["base"])
-            folded = {_key(v) for v in f["folded_deltas"]}
-            ent["deltas"] = [v for v in ent["deltas"] if _key(v) not in folded]
+            folded = {tuple(e) for e in f["folded_deltas"]}
+            ent["deltas"] = [e for e in ent["deltas"] if tuple(e) not in folded]
             if is_fold:
                 hist = m.setdefault("fold_history", {}).setdefault(str(b), [])
                 if f["base"] not in hist:
@@ -156,18 +168,19 @@ class CheckpointManager:
     @property
     def fold_history(self) -> dict[int, list[int]]:
         """Every fold (base) version ever recorded per bucket — the
-        candidates a delta-mode time-travel read can anchor on (state
-        as-of X = newest fold <= X + the delta chain after it)."""
+        candidates a time-travel read on a GC'd lake can anchor on
+        (state as-of X = newest fold <= X + the chain after it)."""
         return {
             int(b): list(vs)
             for b, vs in self._m.get("fold_history", {}).items()
         }
 
     def retire_files(self, entries: list[tuple[str, int]]) -> None:
-        """Delta-mode bounded retention: files superseded by a fold are
-        recorded as ``[filename, fold_version]`` instead of deleted; they
-        stay readable for time travel until :meth:`purge_retired_files`'s
-        horizon passes the fold that made them redundant."""
+        """Bounded retention: superseded files are recorded as
+        ``[filename, at]`` instead of deleted, ``at`` being the version
+        from which as-of reads anchor on their successor; they stay
+        readable for time travel until :meth:`purge_retired_files`'s
+        horizon passes ``at``."""
         if entries:
             self._m.setdefault("retired_files", []).extend(
                 [str(f), int(at)] for f, at in entries
@@ -175,9 +188,9 @@ class CheckpointManager:
             self._write(self._m)
 
     def purge_retired_files(self, horizon: int) -> list[str]:
-        """Pop and return filenames whose superseding fold version is at
-        or below ``horizon`` — every reachable as-of >= horizon anchors on
-        that fold (or a newer one), so these files are safe to delete.
+        """Pop and return filenames whose ``at`` is at or below
+        ``horizon`` — every reachable as-of >= horizon anchors on their
+        successor (or a newer one), so these files are safe to delete.
         Manifest written first: a crash between write and delete only
         leaks files, never dangles a pointer."""
         kept, purged = [], []
@@ -193,9 +206,11 @@ class CheckpointManager:
         batch_id: int,
         evolved: tuple[tuple[str, str], ...],
         summary: dict,
-        new_versions: dict[int, int] | None = None,
-        new_deltas: dict[int, int] | None = None,
+        pointers: dict[int, object] | None = None,
     ) -> None:
+        """Commit a batch. ``pointers`` maps each bucket the batch wrote
+        to its new entry: an int is a new base version (it replaces the
+        chain), a ``[version, group]`` pair is appended to the chain."""
         import time
 
         m = self._m
@@ -207,12 +222,14 @@ class CheckpointManager:
         # pre-set it — tests pin deterministic clocks that way)
         summary.setdefault("commit_ts", time.time())
         m["batches"][str(batch_id)] = summary
-        if new_versions:
-            bv = m.setdefault("bucket_versions", {})
-            for b, v in new_versions.items():
-                bv[str(b)] = int(v)
-        if new_deltas:
-            self.append_deltas(new_deltas)
+        for b, p in (pointers or {}).items():
+            ent = m["bucket_deltas"].setdefault(str(b), {"base": None, "deltas": []})
+            if isinstance(p, (list, tuple)):
+                p = [int(p[0]), int(p[1])]
+                if p not in ent["deltas"]:
+                    ent["deltas"].append(p)
+            else:
+                ent["base"], ent["deltas"] = int(p), []
         self._write(m)
 
     def annotate_batch(self, batch_id: int, extra: dict) -> None:
@@ -244,31 +261,6 @@ class CheckpointManager:
                 f"timestamp {ts} precedes the first commit — no snapshot"
             )
         return best
-
-    def retire_versions(self, retired: list[list[int]]) -> None:
-        """Bounded-retention bookkeeping: superseded state files recorded
-        as ``[bucket, old_version, superseded_at_batch]`` instead of being
-        deleted eagerly; they stay readable for time travel / change feeds
-        until :meth:`purge_retired`'s horizon passes them."""
-        if retired:
-            self._m.setdefault("retired", []).extend(
-                [int(b), int(v), int(at)] for b, v, at in retired
-            )
-            self._write(self._m)
-
-    def purge_retired(self, horizon: int) -> list[list[int]]:
-        """Pop and return the retired entries whose SUCCESSOR version is
-        at or below ``horizon`` — any snapshot as-of >= horizon resolves
-        to a newer file, so these are safe to delete. The manifest is
-        rewritten first; a crash between the write and the deletes only
-        leaks files (never dangles a pointer)."""
-        kept, purged = [], []
-        for ent in self._m.get("retired", []):
-            (purged if ent[2] <= horizon else kept).append(ent)
-        if purged:
-            self._m["retired"] = kept
-            self._write(self._m)
-        return purged
 
     def _write(self, m: dict) -> None:
         os.makedirs(self.dir, exist_ok=True)

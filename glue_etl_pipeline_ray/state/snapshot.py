@@ -5,7 +5,8 @@ feed, cross-lake diffs, point lookups) goes through one
 :class:`SnapshotReader`:
 
     resolve   manifest (tip) or lineage log (``as_of``) -> one Source per
-              bucket: a rewrite part file, or a delta base + chain
+              bucket: a base part file plus a chain of group-file entries
+              (empty for a bucket the rewrite sink wrote)
     read      read_live(src): conform, drop tombstones, project, filter —
               each file opened once, predicates pushed to row-group
               statistics when the source is a single state file
@@ -45,8 +46,6 @@ from glue_etl_pipeline_ray.stages.evolve import conform
 from glue_etl_pipeline_ray.stages.merge import (
     CHANGE_TYPE_COL,
     DELETED_COL,
-    delta_entry_version,
-    delta_name,
     gdelta_name,
     part_name,
     read_bucket_state,
@@ -54,7 +53,7 @@ from glue_etl_pipeline_ray.stages.merge import (
     state_schema,
 )
 
-STATE_FILE_RE = re.compile(r"(?:part|delta|gdelta)-(\d+)-v(\d+)\.parquet$")
+STATE_FILE_RE = re.compile(r"(?:part|gdelta)-(\d+)-v(\d+)\.parquet$")
 
 # On-disk bytes one read task is planned to cover. A read task costs
 # about 7-10 ms more than the same reads in the driver (task round trip);
@@ -71,9 +70,8 @@ SCAN_OPS = ("==", "!=", "<", "<=", ">", ">=", "in")
 @dataclass(frozen=True)
 class Source:
     """Where one bucket's committed state lives: ``base`` is a part-file
-    version (a rewrite version or a delta base) and ``chain`` the delta
-    entries folded on top, as ints (``delta-*`` files) or ``(version,
-    group)`` pairs (``gdelta-*`` files). Two equal sources hold equal
+    version and ``chain`` the ``(version, group)`` entries of the
+    ``gdelta-*`` group files folded on top. Two equal sources hold equal
     rows, so an unchanged bucket is found by comparing sources."""
 
     lake_dir: str
@@ -85,23 +83,14 @@ class Source:
         out = []
         if self.base is not None:
             out.append(os.path.join(self.lake_dir, part_name(self.bucket, self.base)))
-        for ent in self.chain:
-            name = (
-                delta_name(self.bucket, ent)
-                if isinstance(ent, int)
-                else gdelta_name(int(ent[1]), int(ent[0]))
-            )
-            out.append(os.path.join(self.lake_dir, name))
+        for v, g in self.chain:
+            out.append(os.path.join(self.lake_dir, gdelta_name(g, v)))
         return out
 
 
 def _source(lake_dir: str, bucket: int, base, chain) -> Source:
-    chain = sorted(chain, key=delta_entry_version)
     return Source(
-        lake_dir,
-        int(bucket),
-        base,
-        tuple(e if isinstance(e, int) else (int(e[0]), int(e[1])) for e in chain),
+        lake_dir, int(bucket), base, tuple(sorted((int(v), int(g)) for v, g in chain))
     )
 
 
@@ -322,15 +311,15 @@ def plan_groups(sizes: list[int], n_cpus: int, budget: int = GROUP_BYTES) -> lis
 
 class SnapshotReader:
     """Reads one lake's committed snapshots (see the module docstring).
-    Built per read from the engine's spec, lake dir, checkpoint, state
-    mode and retention policy; ``stats`` counts that read."""
+    Built per read from the engine's spec, lake dir, checkpoint and
+    retention policy; ``stats`` counts that read. The reader does not
+    know which sink wrote the lake: every bucket is a base plus a chain,
+    on the tip and as of any retained batch."""
 
-    def __init__(self, spec, lake_dir, ckpt, state_mode, gc_old_versions,
-                 retain_batches):
+    def __init__(self, spec, lake_dir, ckpt, gc_old_versions, retain_batches):
         self.spec = spec
         self.lake_dir = lake_dir
         self.ckpt = ckpt
-        self.state_mode = state_mode
         self.gc_old_versions = gc_old_versions
         self.retain_batches = retain_batches
         self.stats = {"files": 0, "bytes": 0, "rows": 0, "tasks": 0}
@@ -338,8 +327,8 @@ class SnapshotReader:
 
     @classmethod
     def of(cls, eng) -> "SnapshotReader":
-        return cls(eng.spec, eng.lake_dir, eng.ckpt, eng.state_mode,
-                   eng.gc_old_versions, eng.retain_batches)
+        return cls(eng.spec, eng.lake_dir, eng.ckpt, eng.gc_old_versions,
+                   eng.retain_batches)
 
     # ------------------------------------------------ manifest -> sources
     def evolved(self, as_of: int | None = None):
@@ -368,147 +357,89 @@ class SnapshotReader:
                 "old lake — query it there or resync by snapshot"
             )
 
-    def versions_as_of(self, as_of_batch: int) -> dict[int, int]:
-        """Rewrite-mode pointer set as of a committed batch, rebuilt from
-        the lineage log."""
-        self._check_reshard_floor(as_of_batch)
-        out: dict[int, int] = {}
-        for rec in self._lineage():
-            if rec.get("kind") == "bucket" and rec["batch_id"] <= as_of_batch:
-                # LAST record wins — read_lineage returns commit order.
-                # "max version" would be wrong across a backfill, whose
-                # rewrites live in a high version namespace (10^9 + wm)
-                # and are superseded by ordinary batch versions after it.
-                out[rec["bucket"]] = rec["version"]
-        return out
-
-    def delta_chain_pointers(
-        self, as_of: int, buckets=None
-    ) -> list[tuple[int, int | None, list]]:
-        """Historic per-bucket (base, chain) pointers for state as-of a
-        committed batch, rebuilt from the lineage log.
-
-        Keep-everything mode (gc_old_versions=False): base=None and the
-        full delta chain <= as_of — folds are caches, the chain is the
-        truth. Bounded retention: deltas at or below a fold F may be
-        purged once the horizon passes F, so anchor on the NEWEST fold
-        <= as_of (exactly the deltas <= F) and replay only the chain
-        after it. A reshard-base lineage record is a PART-file anchor in
-        either mode (the reshard wrote full state at that version).
-        ``buckets``: optional restriction (point lookups)."""
+    def pointers_as_of(self, as_of: int, buckets=None) -> dict[int, tuple]:
+        """Per-bucket ``(base, chain)`` as of a committed batch, rebuilt
+        from the lineage log in commit order. A ``bucket`` record without
+        ``group`` anchors the bucket: a rewrite-sink version, or a
+        reshard or backfill base, whose file holds the bucket's whole
+        state up to its ``chain_floor`` (default: its version). Group
+        records above the floor chain on top. Under GC, a fold or
+        compaction (``fold_history``) newer than the anchor anchors
+        instead: the files it folded may be gone. A history-keeping lake
+        folds nothing away, so its chains replay in full. ``buckets``:
+        optional restriction (point lookups)."""
         self._check_reshard_floor(as_of)
-        chains: dict[int, list] = {}
-        bases: dict[int, int | None] = {}
-        # floor = the batch position an anchor's part file folds up to;
-        # deltas strictly after it replay on top. Reshard bases use
-        # their file version AS the floor (those versions are batch
-        # ids); backfill bases live in the 10^9 version namespace and
-        # carry an explicit ``chain_floor``.
+        bases: dict[int, int] = {}
         floors: dict[int, int] = {}
+        chains: dict[int, list] = {}
         for rec in self._lineage():
+            b = rec.get("bucket")
             if (
-                rec.get("kind") == "bucket"
-                and rec["batch_id"] <= as_of
-                and (buckets is None or rec["bucket"] in buckets)
+                rec.get("kind") != "bucket"
+                or rec["batch_id"] > as_of
+                or (buckets is not None and b not in buckets)
             ):
-                if rec.get("reshard_base") or rec.get("backfill_base"):
-                    fl = rec.get("chain_floor", rec["version"])
-                    if fl >= floors.get(rec["bucket"], -1):
-                        floors[rec["bucket"]] = fl
-                        bases[rec["bucket"]] = rec["version"]
-                else:
-                    chains.setdefault(rec["bucket"], []).append(
-                        [rec["version"], rec["group"]]
-                        if "group" in rec
-                        else rec["version"]
-                    )
-        if self.retain_batches is not None:
+                continue
+            if "group" in rec:
+                chains.setdefault(b, []).append((rec["version"], rec["group"]))
+            else:
+                # the LAST anchor wins, not the highest version: a
+                # backfill base (10^9 + wm) is superseded by the batch
+                # versions committed after it
+                bases[b] = rec["version"]
+                floors[b] = rec.get("chain_floor", rec["version"])
+        if self.gc_old_versions:
             for b, folds in self.ckpt.fold_history.items():
-                cand = [f for f in folds if f <= as_of]
-                if cand and max(cand) > floors.get(b, -1):
-                    bases[b] = max(cand)
-                    floors[b] = max(cand)
-        return [
-            (
-                b,
+                f = max((f for f in folds if f <= as_of), default=-1)
+                if f > floors.get(b, -1) and (buckets is None or b in buckets):
+                    bases[b] = floors[b] = f
+        return {
+            b: (
                 bases.get(b),
-                sorted(
-                    (
-                        v for v in chains.get(b, [])
-                        if b not in floors
-                        or delta_entry_version(v) > floors[b]
-                    ),
-                    key=delta_entry_version,
-                ),
+                [e for e in chains.get(b, []) if e[0] > floors.get(b, -1)],
             )
-            for b in sorted(set(chains) | set(bases))
-        ]
+            for b in set(bases) | set(chains)
+        }
 
     def _require_history(self, as_of: int) -> None:
         """Raise unless the ``as_of`` snapshot is reconstructible under
         the retention policy: always with ``gc_old_versions=False``;
         inside the trailing window with ``retain_batches=N`` (a purge only
         removes files whose successor is at or below the horizon, so any
-        snapshot at or above it still resolves — see ``purge_retired``)."""
-        if not self.gc_old_versions:
+        snapshot at or above it still resolves); under plain GC only the
+        current snapshot."""
+        if not self.gc_old_versions or as_of >= self.ckpt.watermark:
             return
-        if as_of >= self.ckpt.watermark:
-            return  # the current snapshot needs no history
-        self._require_window(as_of, "history reads")
-
-    def _require_window(self, as_of: int, what: str) -> None:
-        if self.retain_batches is not None:
-            horizon = self.ckpt.watermark - self.retain_batches
-            if as_of >= horizon:
-                return
+        if self.retain_batches is None:
+            raise NotImplementedError(
+                "history reads require gc_old_versions=False or retain_batches=N"
+            )
+        horizon = self.ckpt.watermark - self.retain_batches
+        if as_of < horizon:
             raise ValueError(
                 f"as_of={as_of} is outside the retention window "
                 f"(horizon={horizon}, retain_batches={self.retain_batches})"
             )
-        raise NotImplementedError(
-            f"{what} require gc_old_versions=False or retain_batches=N"
-        )
-
-    def _require_delta_history(self, as_of: int) -> None:
-        """Delta-mode history gate: keep-everything
-        (gc_old_versions=False) serves any as_of; bounded retention
-        (retain_batches=N) serves as_of inside the window; plain GC mode
-        has no history at all."""
-        if self.gc_old_versions:
-            self._require_window(as_of, "delta-mode time travel")
 
     def resolve(self, as_of: int | None = None, buckets=None) -> dict[int, Source]:
         """Per-bucket sources of the tip (``as_of=None``, from the
         checkpoint manifest) or of a committed batch (from the lineage
         log), without a history gate."""
-        lake = self.lake_dir
-        if self.state_mode == "delta":
-            if as_of is None:
-                ptrs = [
-                    (b, d["base"], d["deltas"])
-                    for b, d in self.ckpt.bucket_deltas.items()
-                ]
-            else:
-                ptrs = self.delta_chain_pointers(as_of, buckets)
+        if as_of is None:
+            ptrs = {b: (d["base"], d["deltas"]) for b, d in self.ckpt.bucket_deltas.items()}
         else:
-            versions = (
-                self.ckpt.bucket_versions if as_of is None else self.versions_as_of(as_of)
-            )
-            ptrs = [(b, v, ()) for b, v in versions.items()]
+            ptrs = self.pointers_as_of(as_of, buckets)
         return {
-            b: _source(lake, b, base, chain)
-            for b, base, chain in sorted(ptrs, key=lambda p: p[0])
+            b: _source(self.lake_dir, b, *ptrs[b])
+            for b in sorted(ptrs)
             if buckets is None or b in buckets
         }
 
     def sources(self, as_of: int | None = None, buckets=None) -> dict[int, Source]:
-        """:meth:`resolve` behind the mode's history gate (snapshot and
-        lookup reads)."""
+        """:meth:`resolve` behind the history gate (snapshot and lookup
+        reads)."""
         if as_of is not None:
-            if self.state_mode == "delta":
-                self._require_delta_history(as_of)
-            else:
-                self._require_history(as_of)
+            self._require_history(as_of)
         return self.resolve(as_of, buckets)
 
     def state_files(self, as_of: int | None = None) -> list[str]:
@@ -527,20 +458,18 @@ class SnapshotReader:
         file a committed lineage record names (time travel rebuilds its
         pointers from them). The one classifier behind ``fsck`` and
         ``gc_orphans``."""
-        m = self.ckpt._m
         out = {os.path.basename(f) for f in self.state_files()}
-        out |= {f for f, _ in m.get("retired_files", [])}
-        out |= {part_name(b, v) for b, v, *_ in m.get("retired", [])}
+        out |= {f for f, _ in self.ckpt._m.get("retired_files", [])}
         if not self.gc_old_versions:
             wm = self.ckpt.watermark
             for rec in self._lineage():
-                if rec.get("kind") != "bucket" or rec["batch_id"] > wm:
-                    continue
-                b, v = rec["bucket"], rec["version"]
-                if "group" in rec:
-                    out.add(gdelta_name(rec["group"], v))
-                else:  # a rewrite version, a delta or a reshard/backfill base
-                    out |= {part_name(b, v), delta_name(b, v)}
+                if rec.get("kind") == "bucket" and rec["batch_id"] <= wm:
+                    v = rec["version"]
+                    out.add(
+                        gdelta_name(rec["group"], v)
+                        if "group" in rec
+                        else part_name(rec["bucket"], v)
+                    )
         return out
 
     def unserved(self) -> list[str]:

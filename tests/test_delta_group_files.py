@@ -2,8 +2,7 @@
 (exchange group, batch) with a parquet row group per touched sink bucket,
 so delta-mode files per batch are O(num_exchange) — independent of
 ``num_buckets`` — while per-bucket reads stay random-access. Chain
-pointers are ``[version, group]`` pairs; legacy int entries (per-bucket
-``delta-*`` files) must keep reading back identically."""
+pointers are ``[version, group]`` pairs."""
 
 import glob
 import os
@@ -18,8 +17,8 @@ from glue_etl_pipeline_ray.spec import repo_file_spec
 from glue_etl_pipeline_ray.stages.merge import (
     events_to_state,
     read_bucket_state,
+    lww_state,
     read_gdelta_bucket,
-    write_delta_bucket,
     write_delta_group,
 )
 
@@ -56,8 +55,8 @@ def test_lake_layout_is_group_files(ray_session, tmp_path):
 
 
 def test_legacy_and_group_entries_fold_identically(tmp_path):
-    """read_bucket_state over per-bucket files (int entries) and over the
-    same rows in group files ([v, g] entries) folds to the same state."""
+    """read_bucket_state over group files ([v, g] entries) folds to the
+    LWW state of the same rows."""
     spec = repo_file_spec(num_buckets=8)
     rows = 400
     rng = np.random.default_rng(5)
@@ -77,7 +76,6 @@ def test_legacy_and_group_entries_fold_identically(tmp_path):
     bucket = (kh % 8).astype(np.int64)
     t = t.append_column(BUCKET_COL, pa.array(bucket, pa.int64()))
 
-    lake_a = str(tmp_path / "a"); os.makedirs(lake_a)
     lake_b = str(tmp_path / "b"); os.makedirs(lake_b)
     # two "batches" of 200 rows each
     for v, lo in ((0, 0), (1, 200)):
@@ -88,18 +86,16 @@ def test_legacy_and_group_entries_fold_identically(tmp_path):
         bs = b[order]
         starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
         ends = np.r_[starts[1:], len(bs)]
-        for s, e in zip(starts, ends):
-            write_delta_bucket(spec, (), lake_a, v, int(bs[s]),
-                               part.slice(int(s), int(e - s)))
         state_t, _ = events_to_state(spec, (), part)
         write_delta_group(spec, (), lake_b, v, 0, state_t,
                           bs[starts], starts, ends)
 
     for bk in sorted(set(bucket.tolist())):
-        legacy = read_bucket_state(spec, (), lake_a, None, [0, 1], bk)
+        rows_b = t.filter(pa.array(bucket == bk))
+        want = lww_state(spec, (), [events_to_state(spec, (), rows_b)[0]])
         grouped = read_bucket_state(spec, (), lake_b, None,
                                     [[0, 0], [1, 0]], bk)
-        assert legacy.sort_by("commit").equals(grouped.sort_by("commit"))
+        assert want.sort_by("commit").equals(grouped.sort_by("commit"))
     # bucket absent from a batch -> None, not an error
     assert read_gdelta_bucket(lake_b, 0, 0, 9999) is None
 

@@ -53,7 +53,7 @@ def test_feed_and_time_travel_inside_window_match_full_history(
     n_ret = len(glob.glob(str(tmp_path / "ret" / "part-*.parquet")))
     n_ful = len(glob.glob(str(tmp_path / "full" / "part-*.parquet")))
     assert n_ret < n_ful
-    for _b, _v, at in ret.ckpt._m.get("retired", []):
+    for _name, at in ret.ckpt._m.get("retired_files", []):
         assert at > ret.ckpt.watermark - 2
 
 

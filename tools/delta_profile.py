@@ -112,7 +112,7 @@ def main() -> int:
     warm_lake = tempfile.mkdtemp(prefix="gepr_prof_warm_")
     rp.ReplayEngine(
         repo_file_spec(num_buckets=64), warm_lake,
-        compute_bucket_hash=False, state_mode=args.state_mode,
+        state_mode=args.state_mode,
     ).replay(warm_ev)
     shutil.rmtree(warm_lake, ignore_errors=True)
     for k in timings:
@@ -123,7 +123,6 @@ def main() -> int:
         eng = rp.ReplayEngine(
             repo_file_spec(num_buckets=64),
             lake,
-            compute_bucket_hash=False,
             state_mode=args.state_mode,
             fold_threshold=args.fold_threshold,
         )

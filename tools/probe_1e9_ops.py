@@ -59,7 +59,6 @@ def main() -> int:
 
     spec = repo_file_spec(num_buckets=args.num_buckets)
     eng_kw = dict(
-        compute_bucket_hash=False,
         state_mode="delta",
         fold_threshold=4,
         retain_batches=4,

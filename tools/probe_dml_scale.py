@@ -56,7 +56,6 @@ def main() -> int:
     eng = ReplayEngine(
         repo_file_spec(num_buckets=args.num_buckets),
         args.lake,
-        compute_bucket_hash=False,
         state_mode="delta",
         fold_threshold=4,
         retain_batches=args.retain_batches,

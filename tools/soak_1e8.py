@@ -128,7 +128,6 @@ def phase_replay(args) -> int:
         shutil.rmtree(lake, ignore_errors=True)
 
     kw = dict(
-        compute_bucket_hash=False,
         state_mode=args.state_mode,
         fold_threshold=4,
     )

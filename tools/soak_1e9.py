@@ -112,7 +112,6 @@ def main() -> int:
 
     spec = repo_file_spec(num_buckets=args.num_buckets)
     eng_kw = dict(
-        compute_bucket_hash=False,
         state_mode=args.state_mode,
         fold_threshold=4,
     )
