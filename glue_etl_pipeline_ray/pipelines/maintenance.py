@@ -902,10 +902,7 @@ class Maintenance:
         commit that changes what a bucket read would return (replay,
         compaction/fold, backfill, optimize_sort, reshard) changes the
         bucket's source and hence the anchor."""
-        return {
-            b: f"{s.base}:{list(s.chain)}"
-            for b, s in SnapshotReader.of(self).resolve().items()
-        }
+        return {b: s.anchor for b, s in SnapshotReader.of(self).resolve().items()}
 
     def build_lookup_filters(self, fp_rate: float = 0.005) -> dict:
         """Per-bucket key Bloom sidecars for negative point lookups: a
@@ -951,13 +948,48 @@ class Maintenance:
             "fp_rate": fp_rate,
         }
 
-    def _lookup_filter_meta(self) -> dict | None:
+    def _bloom_misses(self, srcs: dict, kh, per_bucket: dict) -> list[int]:
+        """Touched buckets whose sidecar rules out every requested key
+        (``per_bucket``: indices into the key hashes ``kh``). Only the
+        touched buckets' anchors are checked, against their resolved
+        ``srcs``; a bucket without a source or with a stale anchor is
+        never ruled out. The sidecar manifest and the decoded filters
+        are cached until the manifest file changes (it is replaced
+        atomically, after the filters it names)."""
         path = os.path.join(self.lake_dir, "_filters", "manifest.json")
         try:
-            with open(path) as fh:
-                return json.load(fh)
+            st = os.stat(path)
         except FileNotFoundError:
-            return None
+            return []
+        ident = (st.st_ino, st.st_mtime_ns, st.st_size)
+        cache = getattr(self, "_filter_cache", None)
+        if cache is None or cache[0] != ident:
+            with open(path) as fh:
+                cache = self._filter_cache = (ident, json.load(fh)["buckets"], {})
+        _, meta, blooms = cache
+        out = []
+        for b, ix in per_bucket.items():
+            m = meta.get(str(b))
+            if not m or b not in srcs or m["anchor"] != srcs[b].anchor:
+                continue
+            bf = blooms.get(b)
+            if bf is None:
+                from glue_etl_pipeline_ray.functions.bloom import BloomFilter
+
+                try:
+                    packed = np.fromfile(
+                        os.path.join(self.lake_dir, "_filters", m["file"]),
+                        dtype=np.uint8,
+                    )
+                except FileNotFoundError:
+                    continue
+                bf = BloomFilter.__new__(BloomFilter)
+                bf.m, bf.k = m["m"], m["k"]
+                bf.bits = np.unpackbits(packed)[: m["m"]].astype(bool)
+                blooms[b] = bf
+            if not bf.contains_hashes(kh[ix]).any():
+                out.append(b)
+        return out
 
     # -------------------------------------------------------------------- GC
     @with_writer_lease

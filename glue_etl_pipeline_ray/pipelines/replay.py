@@ -844,9 +844,10 @@ class ReplayEngine(Maintenance, Dml):
         """Point lookups by primary key WITHOUT scanning the lake: each
         requested key hashes to its sink bucket (the same
         ``key_hash_u64 % num_buckets`` the exchange uses), so only the
-        touched buckets' files are read — in the driver, one bucket at a
-        time, no Ray task — I/O proportional to those buckets' state,
-        independent of table size. The index is the layout itself; no
+        touched buckets' files are read — in the driver, no Ray task,
+        key columns first and payloads only where a key is live
+        (``SnapshotReader.probe``) — I/O proportional to those buckets'
+        keys, independent of table size. The index is the layout itself; no
         secondary structure to maintain (the auditor's "what happened to
         key X" query, at serving cost).
 
@@ -864,66 +865,47 @@ class ReplayEngine(Maintenance, Dml):
         from glue_etl_pipeline_ray.hashing import key_hash_u64
 
         kc = self.spec.key_cols
-        tuples = [
-            (k,) if not isinstance(k, (tuple, list)) else tuple(k)
+        skeys = [
+            tuple(map(str, k)) if isinstance(k, (tuple, list)) else (str(k),)
             for k in keys
         ]
-        if any(len(t) != len(kc) for t in tuples):
+        if any(len(k) != len(kc) for k in skeys):
             raise ValueError(f"each key must have {len(kc)} parts {kc}")
         r = self._reader()
         evolved = r.evolved(as_of)
         # keys are the result's identity (and the sort key): always kept,
         # whether or not the projection names them
         cols = r.columns(evolved, columns, keep=kc)
-        key_arrays = [
-            pa.array([str(t[i]) for t in tuples], pa.string())
-            for i in range(len(kc))
-        ]
-        kh = key_hash_u64(*key_arrays)
+        kh = key_hash_u64(
+            *(np.array([k[i] for k in skeys], object) for i in range(len(kc)))
+        )
         buckets = (kh % np.uint64(self.spec.num_buckets)).astype(np.int64)
         per_bucket: dict[int, list[int]] = {}
         for i, b in enumerate(buckets.tolist()):
             per_bucket.setdefault(b, []).append(i)
-
+        # history gate and as-of pointers for the touched buckets only
+        srcs = r.sources(as_of, buckets=per_bucket)
         # Bloom sidecar prefilter (tip reads only — time travel anchors
         # never match): drop touched buckets in which no requested key
         # can possibly exist. No false negatives; stale filters (anchor
         # != current pointer) are ignored, so this only removes reads.
         skipped = 0
         if use_filters and as_of is None and per_bucket:
-            fmeta = self._lookup_filter_meta()
-            if fmeta:
-                from glue_etl_pipeline_ray.functions.bloom import BloomFilter
-
-                cur = self._current_bucket_anchors()
-                for b in list(per_bucket):
-                    m = fmeta["buckets"].get(str(b))
-                    if not m or m["anchor"] != cur.get(b):
-                        continue
-                    path = os.path.join(
-                        self.lake_dir, "_filters", m["file"]
-                    )
-                    try:
-                        packed = np.fromfile(path, dtype=np.uint8)
-                    except FileNotFoundError:
-                        continue
-                    bf = BloomFilter.__new__(BloomFilter)
-                    bf.m, bf.k = m["m"], m["k"]
-                    bf.bits = np.unpackbits(packed)[: m["m"]].astype(bool)
-                    if not bf.contains_hashes(kh[per_bucket[b]]).any():
-                        del per_bucket[b]
-                        skipped += 1
-        # history gate and as-of pointers for the touched buckets only
-        srcs = r.sources(as_of, buckets=per_bucket)
-        parts = r.probe(
-            srcs, kh, {tuple(str(p) for p in t) for t in tuples}, evolved, cols
+            for b in self._bloom_misses(srcs, kh, per_bucket):
+                del per_bucket[b], srcs[b]
+                skipped += 1
+        parts, cost = r.probe(
+            srcs, {b: [skeys[i] for i in ix] for b, ix in per_bucket.items()},
+            evolved, cols,
         )
         self._last_lookup_stats = {
             "buckets_touched": len(per_bucket),
             "buckets_skipped": skipped,
             **r.stats,
+            **cost,
         }
         if not parts:
             # projected schema, same as the non-empty path
             return self.spec.canonical_schema(evolved).empty_table().select(cols)
-        return pa.concat_tables(parts).sort_by([(k, "ascending") for k in kc])
+        out = pa.concat_tables(parts)
+        return out.sort_by([(k, "ascending") for k in kc]) if out.num_rows > 1 else out

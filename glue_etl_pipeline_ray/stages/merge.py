@@ -277,13 +277,10 @@ def read_gdelta_bucket(
     bucket -> row-group map (column-pruned random access; no scan of the
     other buckets' row groups). None when the bucket wrote no rows in
     that batch."""
-    import json
-
     import pyarrow.parquet as pq
 
     pf = pq.ParquetFile(os.path.join(lake_dir, gdelta_name(group, version)))
-    meta = (pf.schema_arrow.metadata or {}).get(GDELTA_META_KEY)
-    idx = json.loads(meta).get(str(int(bucket))) if meta else None
+    idx = gdelta_row_group(pf, bucket)
     if idx is None:
         return None
     cols = None
@@ -291,6 +288,15 @@ def read_gdelta_bucket(
         names = set(pf.schema_arrow.names)
         cols = [c for c in columns if c in names]
     return pf.read_row_groups([idx], columns=cols)
+
+
+def gdelta_row_group(pf, bucket: int) -> int | None:
+    """The row group holding ``bucket``'s rows in an open group delta
+    file (its footer's :data:`GDELTA_META_KEY` map), or None."""
+    import json
+
+    meta = (pf.metadata.metadata or {}).get(GDELTA_META_KEY)
+    return json.loads(meta).get(str(int(bucket))) if meta else None
 
 
 def read_parquet_pruned(path: str, want: list[str] | None) -> pa.Table:

@@ -90,6 +90,14 @@ class CheckpointManager:
             for b, d in self._m["bucket_deltas"].items()
         }
 
+    def tip_pointers(self, buckets=None) -> dict[int, tuple]:
+        """``bucket -> (base, chain)`` of the tip; ``buckets`` restricts
+        it to those buckets without touching the others (point lookups).
+        The chains are the manifest's own lists: read, do not change."""
+        bd = self._m["bucket_deltas"]
+        names = bd if buckets is None else [str(b) for b in buckets if str(b) in bd]
+        return {int(b): (bd[b]["base"], bd[b]["deltas"]) for b in names}
+
     @property
     def bucket_versions(self) -> dict[int, int]:
         """Read-only view: the base version of every bucket whose tip is

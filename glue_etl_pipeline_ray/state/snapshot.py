@@ -17,7 +17,8 @@ A snapshot read is resolved from the manifest and should cost about its
 file I/O, not a per-file plan (the *Delta Lake* point): on one CPU a
 64-bucket scan is one task, on a large lake each task reads about
 ``GROUP_BYTES`` of state. Point lookups read their few buckets in the
-driver and launch no task at all.
+driver, key columns first and payloads only for hits (``probe``), and
+launch no task at all.
 
 Maintenance and DML rewrites read through the same reader: ``read_state``
 returns a bucket's full state (tombstones and ``__seq`` included), and
@@ -34,7 +35,9 @@ from __future__ import annotations
 import glob
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import pyarrow as pa
@@ -43,10 +46,13 @@ import pyarrow.parquet as pq
 import ray
 
 from glue_etl_pipeline_ray.stages.evolve import conform
+from glue_etl_pipeline_ray.stages.exchange import _pin_intraop_threads
 from glue_etl_pipeline_ray.stages.merge import (
     CHANGE_TYPE_COL,
     DELETED_COL,
+    SEQ_COL,
     gdelta_name,
+    gdelta_row_group,
     part_name,
     read_bucket_state,
     snapshot_diff,
@@ -86,6 +92,12 @@ class Source:
         for v, g in self.chain:
             out.append(os.path.join(self.lake_dir, gdelta_name(g, v)))
         return out
+
+    @property
+    def anchor(self) -> str:
+        """The source as a string: the freshness token lookup-filter
+        sidecars are anchored to."""
+        return f"{self.base}:{list(self.chain)}"
 
 
 def _source(lake_dir: str, bucket: int, base, chain) -> Source:
@@ -236,18 +248,79 @@ def diff_live(spec, evolved, old: Source | None, new: Source | None,
     )
 
 
+def _probe_files(src: Source) -> list[tuple[pq.ParquetFile, list[int]]]:
+    """The files a point lookup of ``src`` reads, in fold order, each
+    open with the row groups that hold the bucket: all of the base
+    file's, and the bucket's one group in each chain file that has it."""
+    out = []
+    if src.base is not None:
+        pf = pq.ParquetFile(os.path.join(src.lake_dir, part_name(src.bucket, src.base)))
+        out.append((pf, list(range(pf.metadata.num_row_groups))))
+    for v, g in src.chain:
+        pf = pq.ParquetFile(os.path.join(src.lake_dir, gdelta_name(g, v)))
+        idx = gdelta_row_group(pf, src.bucket)
+        if idx is not None:
+            out.append((pf, [idx]))
+    return out
+
+
+def _read_groups(pf, groups, columns, cost) -> pa.Table | None:
+    """Decode the ``columns`` a file has (a pre-evolution file lacks
+    later ones) in row ``groups``, single-threaded; None if it has none.
+    Adds the footer ``total_compressed_size`` of the column chunks read
+    (a nested column: all its leaves) to ``cost["bytes_decoded"]``."""
+    md = pf.metadata
+    tops = [md.schema.column(i).path.split(".")[0] for i in range(md.num_columns)]
+    have = [c for c in columns if c in tops]
+    if not have:
+        return None
+    cost["bytes_decoded"] += sum(
+        md.row_group(g).column(i).total_compressed_size
+        for g in groups
+        for i, c in enumerate(tops)
+        if c in have
+    )
+    return pf.read_row_groups(groups, columns=have, use_threads=False)
+
+
+def _materialize(pf, groups, keys_t, rows, payload, cost) -> pa.Table:
+    """The winning ``rows`` of ``keys_t`` (the key columns read from
+    ``groups``) with their ``payload`` columns, decoded only in the row
+    groups that hold a winner."""
+    t = keys_t.take(pa.array(rows, pa.int64()))
+    md = pf.metadata
+    sizes = [md.row_group(g).num_rows for g in groups]
+    ends = list(accumulate(sizes))
+    pos = [bisect_right(ends, r) for r in rows]  # the group of each winner
+    # a winner's index in the key read -> its index in the decoded groups
+    shift, kept = {}, 0
+    for p in sorted(set(pos)):
+        shift[p] = kept - (ends[p] - sizes[p])
+        kept += sizes[p]
+    got = _read_groups(pf, [groups[p] for p in shift], payload, cost)
+    if got is None:
+        return t
+    cost["payload_files"] += 1
+    got = got.take(pa.array([r + shift[p] for r, p in zip(rows, pos)], pa.int64()))
+    return pa.Table.from_arrays(
+        t.columns + got.columns, names=t.column_names + got.column_names
+    )
+
+
 def _concat(parts: list[pa.Table]) -> pa.Table:
     return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
 
 @ray.remote(num_returns=2)
 def read_buckets(srcs, spec, evolved, columns, where):
+    _pin_intraop_threads()
     out = _concat([read_live(spec, evolved, s, columns, where) for s in srcs])
     return out, out.num_rows
 
 
 @ray.remote(num_returns=2)
 def diff_bucket(pairs, spec, evolved, update_preimages):
+    _pin_intraop_threads()
     out = _concat(
         [diff_live(spec, evolved, o, n, update_preimages) for o, n in pairs]
     )
@@ -259,6 +332,7 @@ def map_group(fn, units, *args):
     """One task of :meth:`SnapshotReader.map_buckets`: ``fn(unit, *args)
     -> (payload, meta)`` per unit, in order. Payloads and metas return as
     two objects, so a caller can fetch the small metas alone."""
+    _pin_intraop_threads()
     out = [fn(u, *args) for u in units]
     return [p for p, _ in out], [m for _, m in out]
 
@@ -426,7 +500,7 @@ class SnapshotReader:
         checkpoint manifest) or of a committed batch (from the lineage
         log), without a history gate."""
         if as_of is None:
-            ptrs = {b: (d["base"], d["deltas"]) for b, d in self.ckpt.bucket_deltas.items()}
+            ptrs = self.ckpt.tip_pointers(buckets)
         else:
             ptrs = self.pointers_as_of(as_of, buckets)
         return {
@@ -666,28 +740,62 @@ class SnapshotReader:
             self.change_schema(evolved),
         )
 
-    def probe(self, srcs: dict[int, Source], kh: np.ndarray, keyset: set,
-              evolved, cols: list[str]) -> list[pa.Table]:
-        """Point lookup in the driver: read each touched bucket through
-        :func:`read_live` and keep the rows whose key hash is wanted and
-        whose key verifies exactly (hash prefilter, collision guard)."""
-        from glue_etl_pipeline_ray.hashing import key_hash_u64
+    def probe(self, srcs: dict[int, Source], keys: dict[int, list[tuple]],
+              evolved, cols: list[str]) -> tuple[list[pa.Table], dict]:
+        """Key-first point lookup in the driver, one probe for a single
+        state file and a chain alike (late materialization, as in *Nested
+        Parquet Is Flat*). For each touched bucket, read only the key
+        columns plus ``__seq``/``__deleted`` of its base file and of its
+        row group in each chain file, match the bucket's requested
+        ``keys`` (string tuples) by exact equality, and pick each key's
+        winner by max ``__seq``, ties to the later file as the fold does.
+        Payload columns are decoded only from the files holding a live
+        winner, and only in the row groups holding one.
 
-        kc = self.spec.key_cols
+        Returns the live rows (``cols``, canonical types) and
+        ``{"bytes_decoded", "payload_files"}``: the footer
+        ``total_compressed_size`` of every column chunk read, and the
+        files whose payload was decoded."""
+        kc = list(self.spec.key_cols)
+        payload = [c for c in cols if c not in kc]
+        schema = live_schema(self.spec, evolved, cols)
         self._count(srcs.values())
+        cost = {"bytes_decoded": 0, "payload_files": 0}
         out = []
-        for src in srcs.values():
-            t = read_live(self.spec, evolved, src, cols)
-            cand = np.flatnonzero(np.isin(key_hash_u64(*(t[k] for k in kc)), kh))
-            if len(cand) == 0:
-                continue
-            t = t.take(pa.array(cand))
-            rows = zip(*(t[k].to_pylist() for k in kc))
-            exact = [i for i, r in enumerate(rows) if tuple(map(str, r)) in keyset]
-            if exact:
-                out.append(t.take(pa.array(exact, pa.int64())))
+        for b, src in srcs.items():
+            want = set(keys[b])
+            values = [pa.array(sorted({k[i] for k in want}), pa.string())
+                      for i in range(len(kc))]
+            # each requested key's (seq, file, row, deleted) winner so far
+            best: dict[tuple, tuple] = {}
+            files = []
+            for fi, (pf, groups) in enumerate(_probe_files(src)):
+                t = _read_groups(pf, groups, kc + [SEQ_COL, DELETED_COL], cost)
+                files.append((pf, groups, t))
+                if t.num_rows == 0:  # a bucket compacted to nothing
+                    continue
+                mask = None
+                for k, v in zip(kc, values):
+                    m = pc.is_in(t[k], value_set=v)
+                    mask = m if mask is None else pc.and_(mask, m)
+                hits = pc.indices_nonzero(mask)
+                if len(hits) == 0:
+                    continue
+                for row, r in zip(hits.to_pylist(), t.take(hits).to_pylist()):
+                    key = tuple(r[k] for k in kc)
+                    cur = best.get(key)
+                    if key in want and (cur is None or r[SEQ_COL] >= cur[0]):
+                        best[key] = (r[SEQ_COL], fi, row, r[DELETED_COL])
+            live: dict[int, list[int]] = {}
+            for _, fi, row, dead in best.values():
+                if not dead:
+                    live.setdefault(fi, []).append(row)
+            for fi, rows in sorted(live.items()):
+                pf, groups, t = files[fi]
+                t = _materialize(pf, groups, t.select(kc), rows, payload, cost)
+                out.append(conform(t, schema))
         self.stats["rows"] += sum(p.num_rows for p in out)
-        return out
+        return out, cost
 
     # ---------------------------------------------------------- assembly
     @staticmethod
