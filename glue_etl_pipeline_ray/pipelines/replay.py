@@ -24,6 +24,12 @@ merge(N, g), never on a global barrier — and map waves for up to
 batch boundaries while correctness still comes from the per-group chain +
 ordered commits, not from execution order (LWW is commutative).
 
+One pass serves a list of engines (``replay_engines``): each batch is
+read by one map wave for every engine that has not committed it — the
+multi-table demux of ``MultiTableReplayer`` — while merges, commits and
+folds stay per engine. A plain ``ReplayEngine.replay`` is the one-engine
+pass.
+
 Scale notes (100 TB / multi-node): shuffle volume per batch is bounded by
 distinct keys per chunk (partial LWW combiner); object count is
 ``chunks x num_exchange`` — both independent of the sink bucket count
@@ -56,6 +62,7 @@ from glue_etl_pipeline_ray.pipelines.maintenance import BATCH_RE, Maintenance
 from glue_etl_pipeline_ray.spec import TableSpec
 from glue_etl_pipeline_ray.stages.evolve import discover_evolved
 from glue_etl_pipeline_ray.stages.exchange import (
+    Sink,
     default_num_exchange,
     group_of,
     read_file_metas,
@@ -203,49 +210,9 @@ class ReplayEngine(Maintenance, Dml):
         the named batch's merges land but before its checkpoint commit,
         simulating a crash in the at-least-once window.
         """
-        self._gc_orphaned_backfill_lineage()
-        batches = discover_batches(events_dir)
-        committed_before = [
-            b for b, _ in batches if self.ckpt.is_committed(b)
-        ]
-        pending = [(b, fs) for b, fs in batches if not self.ckpt.is_committed(b)]
-        if max_batches is not None:
-            pending = pending[: max(1, max_batches)]
-        if max_events is not None and pending:
-            # read_file_metas memoizes the footer, so the pipeline's own
-            # metadata pass over the same files is a cache hit
-            budget, cut = max_events, 0
-            for _, fs in pending:
-                budget -= sum(md.num_rows for _, md in read_file_metas(fs))
-                cut += 1
-                if budget <= 0:
-                    break
-            pending = pending[:cut]
-        summaries = self._replay_pipelined(pending, fail_before_commit_of)
-        applied = {s["batch_id"] for s in summaries}
-        # drain any staged-but-uncommitted DML AFTER the ingest batches:
-        # DML stages at watermark+1 — the exact id upstream ships next —
-        # so if this run consumed that id, resume_dml's token check sees
-        # the aliasing and re-stages the DML onto the now-free id; with
-        # no collision it simply applies. Either way a crash-orphaned
-        # DML can never be silently dropped by a plain ingest run.
-        resumed = self.resume_dml()
-        # skipped_committed = committed BEFORE this run; batches the
-        # max_batches/max_events budget cut are "deferred" — listing them
-        # as committed would tell an operator unapplied work is safe
-        deferred = [
-            b
-            for b, _ in batches
-            if b not in applied and b not in committed_before
-        ]
-        return {
-            "applied_batches": sorted(applied),
-            "skipped_committed": committed_before,
-            "watermark": self.ckpt.watermark,
-            "summaries": summaries,
-            **({"deferred": deferred} if deferred else {}),
-            **({"resumed_dml": resumed} if resumed else {}),
-        }
+        return replay_engines(
+            [self], events_dir, max_batches, max_events, fail_before_commit_of
+        )[0]
 
     def follow(
         self,
@@ -291,126 +258,6 @@ class ReplayEngine(Maintenance, Dml):
             time.sleep(poll_interval_s)
         return {"applied_batches": applied, "watermark": self.ckpt.watermark}
 
-    # ------------------------------------------------------ pipelined replay
-    def _replay_pipelined(
-        self, pending: list[tuple[int, list[str]]], fail_before_commit_of: int | None
-    ) -> list[dict]:
-        spec = self.spec
-        ne = self.num_exchange or default_num_exchange(spec)
-        ne = max(1, min(ne, spec.num_buckets))
-        rewrite = self.state_mode == "rewrite"
-        # the rewrite sink chains each group's merges, seeded with the
-        # committed bases; the delta sink reads no prior state
-        prev_by_group = self._merge_seeds(ne) if rewrite and pending else [None] * ne
-
-        evolved = self.ckpt.evolved
-        inflight: list[dict] = []
-        summaries: list[dict] = []
-        # background compaction of delta chains: fold tasks overlap the
-        # map and reduce waves (an LSM compacts in the background; the
-        # round-2 sync fold was ~20% of wall as a serial pipeline
-        # barrier). At most one fold in flight per bucket; results are
-        # harvested non-blocking at each drain and blocking at the end of
-        # the run. The rewrite sink leaves no chains, so it never folds.
-        fold_pending: list[tuple] = []
-        folding: set[int] = set()
-
-        def harvest_folds(block: bool) -> None:
-            nonlocal fold_pending
-            keep = []
-            for refs, srcs, wm in fold_pending:
-                if not block:
-                    _, rem = ray.wait(refs, num_returns=len(refs), timeout=0)
-                    if rem:
-                        keep.append((refs, srcs, wm))
-                        continue
-                self._apply_fold_results(refs, srcs, wm)
-                folding.difference_update(srcs)
-            fold_pending = keep
-
-        def drain_one() -> None:
-            fl = inflight.pop(0)
-            outs = ray.get(fl["merge_refs"])
-            records = [r for o in outs for r in o["records"]]
-            # a group-file record's chain entry is its [version, group]
-            # pair; a merged bucket's new base is its version
-            pointers = {
-                rec["bucket"]: (
-                    [rec["version"], rec["group"]] if "group" in rec else rec["version"]
-                )
-                for rec in records
-            }
-            summaries.append(
-                self._finish_batch(
-                    fl["batch_id"],
-                    fl["evolved"],
-                    fl["n_events"],
-                    fl["dlq_dir"],
-                    records,
-                    pointers,
-                    _fail_before_commit=(fl["batch_id"] == fail_before_commit_of),
-                )
-            )
-            # folding is safe concurrently with in-flight delta batches:
-            # their reduces never read state. Per-bucket threshold jitter
-            # desynchronizes compaction: on a fresh lake every chain hits
-            # the base threshold at the SAME batch, and a 64-bucket fold
-            # storm competing with the in-flight waves beats the box
-            # harder than the serial fold it replaced. Jittered cadences
-            # (threshold..2*threshold-1 by bucket) keep folds a steady
-            # trickle forever.
-            harvest_folds(block=False)
-            ft = self.fold_threshold
-            over = {
-                b: d
-                for b, d in self.ckpt.bucket_deltas.items()
-                if len(d["deltas"]) >= ft + (b % ft) and b not in folding
-            }
-            if over:
-                folding.update(over)
-                fold_pending.append(self._submit_folds(over))
-
-        for bid, files in pending:
-            # ONE footer read per file serves schema discovery, the
-            # event count, and the chunk plan (read_file_metas)
-            metas = read_file_metas(files)
-            for _f, md in metas:
-                evolved = discover_evolved(
-                    spec, md.schema.to_arrow_schema(), evolved
-                )
-            dlq_dir = os.path.join(self.lake_dir, "_dlq", f"batch={bid:05d}")
-            n_events = sum(md.num_rows for _, md in metas)
-            merge_refs = submit_batch(
-                spec,
-                evolved,
-                files,
-                self.lake_dir,
-                dlq_dir,
-                bid,
-                prev_by_group,
-                num_exchange=ne,
-                state_mode=self.state_mode,
-                event_filter=self.event_filter,
-                metas=metas,
-            )
-            if rewrite:
-                prev_by_group = merge_refs
-            inflight.append(
-                {
-                    "batch_id": bid,
-                    "evolved": evolved,
-                    "n_events": n_events,
-                    "dlq_dir": dlq_dir,
-                    "merge_refs": merge_refs,
-                }
-            )
-            if len(inflight) >= self.window:
-                drain_one()
-        while inflight:
-            drain_one()
-        harvest_folds(block=True)
-        return summaries
-
     def _merge_seeds(self, ne: int) -> list[dict]:
         """The rewrite sink's per-group chain seeds: every bucket's
         committed base version. Chains on the tip (a lake the delta sink
@@ -432,7 +279,7 @@ class ReplayEngine(Maintenance, Dml):
         LWW no-op; DML commits its staged batch this way). Returns the
         batch summary."""
         fail = batch_id if _fail_before_commit else None
-        return self._replay_pipelined([(batch_id, files)], fail)[0]
+        return _replay_pipelined([self], [[(batch_id, files)]], fail)[0][0]
 
     # ----------------------------------------------------- commit + GC
     def _finish_batch(
@@ -909,3 +756,210 @@ class ReplayEngine(Maintenance, Dml):
             return self.spec.canonical_schema(evolved).empty_table().select(cols)
         out = pa.concat_tables(parts)
         return out.sort_by([(k, "ascending") for k in kc]) if out.num_rows > 1 else out
+
+
+# ------------------------------------------------------- pipelined replay
+def replay_engines(
+    engines: list[ReplayEngine],
+    events_dir: str,
+    max_batches: int | None = None,
+    max_events: int | None = None,
+    fail_before_commit_of: int | None = None,
+) -> list[dict]:
+    """Apply each engine's not-yet-committed batches of ``events_dir`` in
+    id order, in ONE pipelined pass that reads every batch once for all
+    engines taking it. One engine is :meth:`ReplayEngine.replay`; several
+    demux one change stream into their lakes through their route filters
+    (:class:`~glue_etl_pipeline_ray.pipelines.multi.MultiTableReplayer`).
+    The caller holds the engines' writer leases. The arguments are those
+    of :meth:`ReplayEngine.replay`, the budget counted per engine.
+    Returns one run summary per engine."""
+    batches = discover_batches(events_dir)
+    committed_before, pending = [], []
+    for e in engines:
+        e._gc_orphaned_backfill_lineage()
+        committed_before.append([b for b, _ in batches if e.ckpt.is_committed(b)])
+        pending.append(
+            _budget(
+                [(b, fs) for b, fs in batches if not e.ckpt.is_committed(b)],
+                max_batches,
+                max_events,
+            )
+        )
+    summaries = _replay_pipelined(engines, pending, fail_before_commit_of)
+    out = []
+    for e, done, sums in zip(engines, committed_before, summaries):
+        applied = {s["batch_id"] for s in sums}
+        # drain any staged-but-uncommitted DML AFTER the ingest batches:
+        # DML stages at watermark+1 — the exact id upstream ships next —
+        # so if this run consumed that id, resume_dml's token check sees
+        # the aliasing and re-stages the DML onto the now-free id; with
+        # no collision it simply applies. Either way a crash-orphaned
+        # DML can never be silently dropped by a plain ingest run.
+        resumed = e.resume_dml()
+        # skipped_committed = committed BEFORE this run; batches the
+        # max_batches/max_events budget cut are "deferred" — listing them
+        # as committed would tell an operator unapplied work is safe
+        deferred = [b for b, _ in batches if b not in applied and b not in done]
+        out.append({
+            "applied_batches": sorted(applied),
+            "skipped_committed": done,
+            "watermark": e.ckpt.watermark,
+            "summaries": sums,
+            **({"deferred": deferred} if deferred else {}),
+            **({"resumed_dml": resumed} if resumed else {}),
+        })
+    return out
+
+
+def _budget(
+    pending: list[tuple[int, list[str]]],
+    max_batches: int | None,
+    max_events: int | None,
+) -> list[tuple[int, list[str]]]:
+    """Cut ``pending`` to the work budget; at least one batch is always
+    taken so a single oversized batch cannot stall the cursor."""
+    if max_batches is not None:
+        pending = pending[: max(1, max_batches)]
+    if max_events is not None and pending:
+        # read_file_metas memoizes the footer, so the pipeline's own
+        # metadata pass over the same files is a cache hit
+        budget, cut = max_events, 0
+        for _, fs in pending:
+            budget -= sum(md.num_rows for _, md in read_file_metas(fs))
+            cut += 1
+            if budget <= 0:
+                break
+        pending = pending[:cut]
+    return pending
+
+
+class _Lane:
+    """One engine's side of a pipelined pass: its exchange groups, the
+    rewrite sink's per-group merge chains, its evolved columns, its
+    ordered commits and its background folds."""
+
+    def __init__(self, eng: ReplayEngine, pending: list[tuple[int, list[str]]]):
+        spec = eng.spec
+        ne = eng.num_exchange or default_num_exchange(spec)
+        ne = max(1, min(ne, spec.num_buckets))
+        self.eng = eng
+        self.batches = {b for b, _ in pending}
+        self.rewrite = eng.state_mode == "rewrite"
+        # the rewrite sink chains each group's merges, seeded with the
+        # committed bases; the delta sink reads no prior state
+        self.prev = eng._merge_seeds(ne) if self.rewrite and pending else [None] * ne
+        self.evolved = eng.ckpt.evolved
+        self.summaries: list[dict] = []
+        # background compaction of delta chains: fold tasks overlap the
+        # map and reduce waves (an LSM compacts in the background; the
+        # round-2 sync fold was ~20% of wall as a serial pipeline
+        # barrier). At most one fold in flight per bucket; results are
+        # harvested non-blocking at each commit and blocking at the end
+        # of the run. The rewrite sink leaves no chains, so it never folds.
+        self.fold_pending: list[tuple] = []
+        self.folding: set[int] = set()
+
+    def sink(self, bid: int, metas: list) -> Sink:
+        e = self.eng
+        for _f, md in metas:
+            self.evolved = discover_evolved(
+                e.spec, md.schema.to_arrow_schema(), self.evolved
+            )
+        dlq_dir = os.path.join(e.lake_dir, "_dlq", f"batch={bid:05d}")
+        return Sink(
+            e.spec, self.evolved, e.event_filter, dlq_dir, e.lake_dir,
+            self.prev, e.state_mode,
+        )
+
+    def commit(self, bid: int, sink: Sink, refs: list, n_events: int, fail: bool) -> None:
+        outs = ray.get(refs)
+        records = [r for o in outs for r in o["records"]]
+        # a group-file record's chain entry is its [version, group]
+        # pair; a merged bucket's new base is its version
+        pointers = {
+            rec["bucket"]: (
+                [rec["version"], rec["group"]] if "group" in rec else rec["version"]
+            )
+            for rec in records
+        }
+        self.summaries.append(
+            self.eng._finish_batch(
+                bid, sink.evolved, n_events, sink.dlq_dir, records, pointers,
+                _fail_before_commit=fail,
+            )
+        )
+        # folding is safe concurrently with in-flight delta batches:
+        # their reduces never read state. Per-bucket threshold jitter
+        # desynchronizes compaction: on a fresh lake every chain hits
+        # the base threshold at the SAME batch, and a 64-bucket fold
+        # storm competing with the in-flight waves beats the box
+        # harder than the serial fold it replaced. Jittered cadences
+        # (threshold..2*threshold-1 by bucket) keep folds a steady
+        # trickle forever.
+        self.harvest_folds(block=False)
+        ft = self.eng.fold_threshold
+        over = {
+            b: d
+            for b, d in self.eng.ckpt.bucket_deltas.items()
+            if len(d["deltas"]) >= ft + (b % ft) and b not in self.folding
+        }
+        if over:
+            self.folding.update(over)
+            self.fold_pending.append(self.eng._submit_folds(over))
+
+    def harvest_folds(self, block: bool) -> None:
+        keep = []
+        for refs, srcs, wm in self.fold_pending:
+            if not block:
+                _, rem = ray.wait(refs, num_returns=len(refs), timeout=0)
+                if rem:
+                    keep.append((refs, srcs, wm))
+                    continue
+            self.eng._apply_fold_results(refs, srcs, wm)
+            self.folding.difference_update(srcs)
+        self.fold_pending = keep
+
+
+def _replay_pipelined(
+    engines: list[ReplayEngine],
+    pending: list[list[tuple[int, list[str]]]],
+    fail_before_commit_of: int | None,
+) -> list[list[dict]]:
+    """Run ``pending[i]`` through ``engines[i]`` and commit it, every
+    batch read by ONE map wave for the engines whose list holds it.
+    Map waves for up to ``window`` batches run ahead of the oldest
+    batch's commits. Returns each engine's batch summaries."""
+    lanes = [_Lane(e, p) for e, p in zip(engines, pending)]
+    files_of = {b: fs for p in pending for b, fs in p}
+    window = min(e.window for e in engines)
+    inflight: list[tuple] = []
+
+    def drain_one() -> None:
+        bid, n_events, wave = inflight.pop(0)
+        for lane, sink, refs in wave:
+            lane.commit(bid, sink, refs, n_events, bid == fail_before_commit_of)
+
+    for bid in sorted(files_of):
+        # only the engines listing the batch take part: re-merging a
+        # batch an engine committed before this run against its CURRENT
+        # state would resurrect keys deleted since, overwrite the
+        # historic part file at that version, and rewind its pointers
+        takers = [ln for ln in lanes if bid in ln.batches]
+        # ONE footer read per file serves schema discovery, the event
+        # count, and the chunk plan (read_file_metas)
+        metas = read_file_metas(files_of[bid])
+        sinks = [ln.sink(bid, metas) for ln in takers]
+        refs = submit_batch(sinks, files_of[bid], bid, metas=metas)
+        for ln, r in zip(takers, refs):
+            if ln.rewrite:
+                ln.prev = r
+        n_events = sum(md.num_rows for _, md in metas)
+        inflight.append((bid, n_events, list(zip(takers, sinks, refs))))
+        if len(inflight) >= window:
+            drain_one()
+    while inflight:
+        drain_one()
+    for ln in lanes:
+        ln.harvest_folds(block=True)
+    return [ln.summaries for ln in lanes]

@@ -11,12 +11,14 @@ module is the textbook two-stage shuffle on Ray core — the same pattern
 Ray Data's own shuffle uses internally (M map tasks x G reduce groups of
 object-store refs):
 
-    map task  (per row-group chunk):  read -> validate(+DLQ) -> evolve ->
-              partial LWW -> sort by sink bucket -> split into G
-              zero-copy slices, returned as G separate objects
-    merge task (per exchange group):  fetch its G-column of slices ->
-              per-sink-bucket LWW merge vs prior lake file -> staged
-              idempotent write -> lineage records
+    map task  (per row-group chunk):  read once -> per table: route
+              filter -> validate(+DLQ) -> evolve -> partial LWW -> sort
+              by sink bucket -> split into G zero-copy slices, returned
+              as T x G separate objects (one table: T = 1)
+    merge task (per table and exchange group):  fetch its column of
+              slices -> per-sink-bucket LWW merge vs prior lake file
+              (or one group delta file) -> staged idempotent write ->
+              lineage records
 
 Scale shape: G (exchange groups) ~ 2x cluster cores, independent of the
 sink bucket count B (each merge task owns the contiguous bucket range
@@ -31,6 +33,8 @@ reference's convert job (``convert_to_parquet.py:218-239``) made explicit.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -128,29 +132,26 @@ def _pin_intraop_threads() -> None:
 
 
 @ray.remote
-def _map_chunk(
-    spec: TableSpec,
-    evolved: tuple[tuple[str, str], ...],
-    chunk: list[tuple[str, list[int]]],
-    dlq_dir: str,
-    num_exchange: int,
-    event_filter=None,
-):
-    """read -> [route filter] -> validate -> evolve -> partial LWW ->
-    G bucket-range slices."""
+def _map_chunk(sinks: list[tuple], chunk: list[tuple[str, list[int]]]):
+    """read the chunk ONCE -> per sink: [route filter] -> validate ->
+    evolve -> partial LWW -> its G bucket-range slices. ``sinks`` holds
+    each table's ``(spec, evolved, event_filter, dlq_dir, num_exchange)``;
+    the slices come back table-major, so read amplification is 1
+    whatever the table count."""
     _pin_intraop_threads()
     parts = [pq.ParquetFile(f).read_row_groups(rgs) for f, rgs in chunk]
-    t = (
+    t0 = (
         parts[0]
         if len(parts) == 1
         else pa.concat_tables(parts, promote_options="permissive")
     )
-    if event_filter is not None:
-        # demux predicate (reference M5 analog): this engine instance only
-        # consumes its logical table's events
-        t = event_filter(t)
-    slices = _validate_reduce_slice(spec, evolved, t, dlq_dir, num_exchange)
-    return tuple(slices) if num_exchange > 1 else slices[0]
+    out: list[pa.Table] = []
+    for spec, evolved, event_filter, dlq_dir, num_exchange in sinks:
+        # demux predicate (reference M5 analog): each table consumes only
+        # its logical table's events
+        t = event_filter(t0) if event_filter is not None else t0
+        out.extend(_validate_reduce_slice(spec, evolved, t, dlq_dir, num_exchange))
+    return tuple(out) if len(out) > 1 else out[0]
 
 
 def _validate_reduce_slice(
@@ -190,33 +191,6 @@ def _validate_reduce_slice(
         t.slice(int(bounds[g]), int(bounds[g + 1] - bounds[g]))
         for g in range(num_exchange)
     ]
-
-
-@ray.remote
-def _map_chunk_multi(
-    specs: list[TableSpec],
-    evolveds: list[tuple[tuple[str, str], ...]],
-    filters: list,
-    chunk: list[tuple[str, list[int]]],
-    dlq_dirs: list[str],
-    num_exchange: int,
-):
-    """Shared-scan demux map task: read the chunk ONCE, route it through
-    every logical table's filter -> validate -> reduce, and return
-    T x G slices (table-major). Read amplification 1 regardless of table
-    count — the fused alternative to running one engine per table."""
-    _pin_intraop_threads()
-    parts = [pq.ParquetFile(f).read_row_groups(rgs) for f, rgs in chunk]
-    t0 = (
-        parts[0]
-        if len(parts) == 1
-        else pa.concat_tables(parts, promote_options="permissive")
-    )
-    out: list[pa.Table] = []
-    for spec, evolved, flt, dlq in zip(specs, evolveds, filters, dlq_dirs):
-        t = flt(t0) if flt is not None else t0
-        out.extend(_validate_reduce_slice(spec, evolved, t, dlq, num_exchange))
-    return tuple(out) if len(out) > 1 else out[0]
 
 
 @ray.remote
@@ -347,118 +321,69 @@ def group_of(bucket: int, num_exchange: int, num_buckets: int) -> int:
     return bucket * num_exchange // num_buckets
 
 
-def submit_batch_multi(
-    tables: list[dict],
-    files: list[str],
-    batch_id: int,
-    num_exchange: int,
-    split_rows: int = DEFAULT_SPLIT_ROWS,
-    metas: list | None = None,
-) -> dict[str, list]:
-    """Shared-scan submit: one map wave feeds every table's merge wave.
+class Sink(NamedTuple):
+    """One table's side of a batch. Its map slices need the spec, the
+    evolved columns, the route filter and the DLQ dir; its reduces write
+    ``lake_dir`` through the ``state_mode`` sink. ``prev_by_group`` has
+    one entry per exchange group: the rewrite sink's chain (the previous
+    batch's ``_merge_group`` output for that group, an ObjectRef, or a
+    plain dict seeded from the committed manifest); the delta sink reads
+    no prior state and ignores the entries."""
 
-    ``tables``: [{"name", "spec", "evolved", "filter", "lake_dir",
-    "dlq_dir", "prev_by_group"}] — prev refs chain per (table, group).
-    ``metas``: pre-read footers from :func:`read_file_metas` (avoids
-    re-opening them here). Returns {name: merge refs per group}."""
-    if metas is None:
-        metas = read_file_metas(files)
-    total_rows = sum(md.num_rows for _, md in metas)
-    n_chunks = max(1, -(-total_rows // split_rows))
-    chunks = plan_chunks(files, target_chunks=n_chunks, metas=metas)
-    nt = len(tables)
-    n_ret = nt * num_exchange
-    specs = [tb["spec"] for tb in tables]
-    evolveds = [tb["evolved"] for tb in tables]
-    filters = [tb["filter"] for tb in tables]
-    dlqs = [tb["dlq_dir"] for tb in tables]
-    map_refs = [
-        _map_chunk_multi.options(num_returns=n_ret).remote(
-            specs, evolveds, filters, ch, dlqs, num_exchange
-        )
-        for ch in chunks
-    ]
-    if n_ret == 1:
-        map_refs = [[r] for r in map_refs]
-    out: dict[str, list] = {}
-    for ti, tb in enumerate(tables):
-        out[tb["name"]] = [
-            _merge_group.remote(
-                tb["spec"],
-                tb["evolved"],
-                tb["lake_dir"],
-                batch_id,
-                tb["prev_by_group"][g],
-                *(map_refs[m][ti * num_exchange + g] for m in range(len(map_refs))),
-            )
-            for g in range(num_exchange)
-        ]
-    return out
+    spec: TableSpec
+    evolved: tuple[tuple[str, str], ...]
+    event_filter: Callable | None
+    dlq_dir: str
+    lake_dir: str
+    prev_by_group: list
+    state_mode: str
 
 
 def submit_batch(
-    spec: TableSpec,
-    evolved: tuple[tuple[str, str], ...],
+    sinks: list[Sink],
     files: list[str],
-    lake_dir: str,
-    dlq_dir: str,
     batch_id: int,
-    prev_by_group: list,
-    num_exchange: int | None = None,
     split_rows: int = DEFAULT_SPLIT_ROWS,
-    state_mode: str = "rewrite",
-    event_filter=None,
     metas: list | None = None,
-) -> list:
-    """Submit one micro-batch's map + merge waves WITHOUT blocking.
-
-    ``prev_by_group[g]``: the previous batch's ``_merge_group`` output for
-    group g — an ObjectRef (pipelined chaining) or a plain dict (first
-    pending batch, seeded from the committed manifest). Returns the new
-    per-group ObjectRefs; the caller drains them in commit order.
+) -> list[list]:
+    """Submit one micro-batch's map wave and every sink's reduce wave
+    WITHOUT blocking. One map task per chunk reads it once for all
+    sinks. Returns each sink's per-group ObjectRefs; the caller drains
+    them in commit order. ``metas``: pre-read footers from
+    :func:`read_file_metas` (avoids re-opening them here).
 
     Split size is FIXED (``split_rows``), not derived from cluster size:
     per-task efficiency stays uniform from 8 cores to a 256-node cluster,
     and parallelism comes from data volume + batch pipelining (the same
     fixed-split discipline as HDFS/Spark input splits)."""
-    if num_exchange is None:
-        num_exchange = default_num_exchange(spec)
-    num_exchange = max(1, min(num_exchange, spec.num_buckets))
-    assert len(prev_by_group) == num_exchange
-
     if metas is None:
         metas = read_file_metas(files)
     total_rows = sum(md.num_rows for _, md in metas)
     n_chunks = max(1, -(-total_rows // split_rows))
     chunks = plan_chunks(files, target_chunks=n_chunks, metas=metas)
+    maps = [
+        (s.spec, s.evolved, s.event_filter, s.dlq_dir, len(s.prev_by_group))
+        for s in sinks
+    ]
+    n_ret = sum(m[-1] for m in maps)
     map_refs = [
-        _map_chunk.options(num_returns=num_exchange).remote(
-            spec, evolved, ch, dlq_dir, num_exchange, event_filter
-        )
-        for ch in chunks
+        _map_chunk.options(num_returns=n_ret).remote(maps, ch) for ch in chunks
     ]
-    if num_exchange == 1:
+    if n_ret == 1:
         map_refs = [[r] for r in map_refs]
-    if state_mode == "delta":
-        return [
-            _delta_group.remote(
-                spec,
-                evolved,
-                lake_dir,
-                batch_id,
-                g,
-                *(map_refs[m][g] for m in range(len(map_refs))),
-            )
-            for g in range(num_exchange)
-        ]
-    return [
-        _merge_group.remote(
-            spec,
-            evolved,
-            lake_dir,
-            batch_id,
-            prev_by_group[g],
-            *(map_refs[m][g] for m in range(len(map_refs))),
-        )
-        for g in range(num_exchange)
-    ]
+    out, first = [], 0
+    for s in sinks:
+        refs = []
+        for g, prev in enumerate(s.prev_by_group):
+            col = (m[first + g] for m in map_refs)
+            if s.state_mode == "delta":
+                refs.append(
+                    _delta_group.remote(s.spec, s.evolved, s.lake_dir, batch_id, g, *col)
+                )
+            else:
+                refs.append(
+                    _merge_group.remote(s.spec, s.evolved, s.lake_dir, batch_id, prev, *col)
+                )
+        out.append(refs)
+        first += len(s.prev_by_group)
+    return out

@@ -34,6 +34,7 @@ commit cadence this engine produces.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -45,23 +46,34 @@ class ConcurrentWriter(RuntimeError):
     """Another live writer holds the lake's lease."""
 
 
+@contextlib.contextmanager
+def writer_leases(engines):
+    """Hold the single-writer lease of every engine in ``engines`` that
+    has ``writer_lease=True`` and does not hold it already, for the
+    ``with`` block's duration. Reentrant within one engine
+    (``redrive_dlq`` calls ``replay``); held only for the block so
+    sequential writers never wait on a ttl."""
+    held = []
+    try:
+        for e in engines:
+            if getattr(e, "writer_lease", False) and not e._active_lease:
+                e._active_lease = WriterLease(e.lake_dir, ttl_s=e.lease_ttl_s).acquire()
+                held.append(e)
+        yield
+    finally:
+        for e in held:
+            lease, e._active_lease = e._active_lease, None
+            lease.release()
+
+
 def with_writer_lease(fn):
-    """Guard a mutating engine method with the single-writer lease when
-    the engine has ``writer_lease=True``. Reentrant within one engine
-    (``redrive_dlq`` calls ``replay``); held only for the call's
-    duration so sequential writers never wait on a ttl."""
+    """Guard a mutating engine method with the engine's writer lease
+    (:func:`writer_leases`)."""
 
     @functools.wraps(fn)
     def wrapped(self, *args, **kwargs):
-        if not getattr(self, "writer_lease", False) or self._active_lease:
+        with writer_leases([self]):
             return fn(self, *args, **kwargs)
-        lease = WriterLease(self.lake_dir, ttl_s=self.lease_ttl_s).acquire()
-        self._active_lease = lease
-        try:
-            return fn(self, *args, **kwargs)
-        finally:
-            self._active_lease = None
-            lease.release()
 
     return wrapped
 

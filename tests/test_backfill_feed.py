@@ -148,3 +148,31 @@ def test_crashed_backfill_lineage_is_gcd_by_next_replay(
         os.path.join(eng.lake_dir, "_lineage", "batch=*_backfill.jsonl")
     )
     assert len(kept) == 1
+
+
+def test_crashed_backfill_lineage_is_gcd_by_multi_table_replay(
+    ray_session, tmp_path
+):
+    """The same crash window in one table of a multi-table lake: the
+    pass that serves every table runs each engine's orphan GC first."""
+    from glue_etl_pipeline_ray.pipelines.multi import MultiTableReplayer
+
+    meta = _gen(tmp_path, n_batches=3)
+    spec = repo_file_spec(num_buckets=8)
+    keep = lambda t: t  # noqa: E731
+    multi = MultiTableReplayer(
+        str(tmp_path / "lakes"), {"a": (spec, keep), "b": (spec, keep)},
+        gc_old_versions=False,
+    )
+    for e in multi.engines.values():
+        e.replay(meta["events_dir"], max_batches=2)
+    eng = multi.engines["a"]
+    wm = eng.ckpt.watermark
+    eng._write_backfill_lineage(wm, {0: 1_000_000_000 + wm})
+    orphan = os.path.join(
+        eng.lake_dir, "_lineage", f"batch={wm:05d}_backfill.jsonl"
+    )
+    assert os.path.exists(orphan)
+    res = multi.replay(meta["events_dir"])
+    assert all(r["applied_batches"] == [2] for r in res.values())
+    assert not os.path.exists(orphan)

@@ -72,11 +72,12 @@ def test_shared_scan_demux_matches_per_table_pass(tmp_path):
     tables = {"org0_files": (spec, _route_org0), "other_files": (spec, _route_rest)}
 
     shared = MultiTableReplayer(str(tmp_path / "lakes_shared"), tables)
-    res = shared.replay(meta["events_dir"], shared_scan=True)
+    res = shared.replay(meta["events_dir"])
     assert all(r["applied_batches"] == [0, 1, 2] for r in res.values())
 
     per_table = MultiTableReplayer(str(tmp_path / "lakes_sep"), tables)
-    per_table.replay(meta["events_dir"])
+    for e in per_table.engines.values():
+        e.replay(meta["events_dir"])
 
     assert shared.final_sha256() == per_table.final_sha256()
 
@@ -229,7 +230,7 @@ def test_shared_scan_skips_batches_an_engine_already_committed(tmp_path):
     a_versions = dict(ea.ckpt.bucket_versions)
     a_asof1 = table_sha256(ea.final_table(as_of=1), spec.key_cols)
 
-    res = multi.replay(meta["events_dir"], shared_scan=True)
+    res = multi.replay(meta["events_dir"])
     assert res["a"]["applied_batches"] == []
     assert res["b"]["applied_batches"] == [2, 3]
     # A untouched: tip, pointers, and historic snapshots all intact
@@ -238,7 +239,8 @@ def test_shared_scan_skips_batches_an_engine_already_committed(tmp_path):
     assert table_sha256(ea.final_table(as_of=1), spec.key_cols) == a_asof1
     # B converged to its per-table oracle
     per = MultiTableReplayer(str(tmp_path / "lakes_sep"), tables)
-    per.replay(meta["events_dir"])
+    for e in per.engines.values():
+        e.replay(meta["events_dir"])
     assert eb.final_sha256() == per.engines["b"].final_sha256()
 
 
@@ -265,10 +267,10 @@ def test_shared_scan_holds_writer_lease(tmp_path):
     other = WriterLease(eng.lake_dir, ttl_s=300.0).acquire()
     try:
         with pytest.raises(ConcurrentWriter):
-            multi.replay(meta["events_dir"], shared_scan=True)
+            multi.replay(meta["events_dir"])
     finally:
         other.release()
     # lease freed -> the pass goes through and releases its own hold
-    multi.replay(meta["events_dir"], shared_scan=True)
+    multi.replay(meta["events_dir"])
     assert eng.ckpt.watermark == 1
     WriterLease(eng.lake_dir, ttl_s=300.0).acquire().release()

@@ -176,20 +176,148 @@ def test_int_chain_entry_raises_naming_the_lake(tmp_path):
         CheckpointManager(lake)
 
 
-def _two_tables(tmp_path, **kw):
-    spec = repo_file_spec(num_buckets=4)
-    keep = lambda t: t  # noqa: E731
+def _routes():
+    """Two key-deterministic routes (locally defined: cloudpickle ships
+    them by value into the map tasks)."""
+    import pyarrow.compute as pc
+
+    def org0(t):
+        return t.filter(pc.starts_with(pc.fill_null(t["repo"], ""), "org0/"))
+
+    def rest(t):
+        return t.filter(
+            pc.invert(pc.starts_with(pc.fill_null(t["repo"], ""), "org0/"))
+        )
+
+    return {"a": org0, "b": rest}
+
+
+def _outcome(e):
+    """Tip sha plus the dead-letter count of every committed batch."""
+    per_batch = e.metrics()["per_batch"]
+    return e.final_sha256(), {b: r["n_dead_lettered"] for b, r in per_batch.items()}
+
+
+def _per_engine(tmp_path, ev, mode):
+    """What a multi-table pass must reach: each table replayed alone by
+    its own engine."""
+    out = {}
+    for name, flt in _routes().items():
+        e = ReplayEngine(
+            SPEC, str(tmp_path / "alone" / name), state_mode=mode,
+            fold_threshold=2, event_filter=flt,
+        )
+        e.replay(ev)
+        out[name] = _outcome(e)
+    return out
+
+
+def _two_tables(tmp_path, mode):
     return MultiTableReplayer(
-        str(tmp_path / "lakes"), {"a": (spec, keep), "b": (spec, keep)}, **kw
+        str(tmp_path / "lakes"),
+        {n: (SPEC, flt) for n, flt in _routes().items()},
+        state_mode=mode, fold_threshold=2,
     )
 
 
-def test_shared_scan_max_batches_raises(tmp_path, stream):
-    with pytest.raises(ValueError, match="max_batches"):
-        _two_tables(tmp_path).replay(stream[0], shared_scan=True, max_batches=1)
+@pytest.mark.parametrize("mode", ["rewrite", "delta"])
+def test_multi_table_pass_matches_per_engine_replay(tmp_path, stream, mode):
+    ev = stream[0]
+    multi = _two_tables(tmp_path, mode)
+    res = multi.replay(ev)
+    assert all(r["applied_batches"] == list(range(6)) for r in res.values())
+    assert {n: _outcome(e) for n, e in multi.engines.items()} == _per_engine(
+        tmp_path, ev, mode
+    )
+    if mode == "delta":
+        # the delta sink writes no base itself: every base is a fold's,
+        # and fold_threshold=2 over six batches folds during the pass
+        for e in multi.engines.values():
+            assert any(d["base"] is not None for d in e.ckpt.bucket_deltas.values())
+    for e in multi.engines.values():
+        fsck = e.fsck()
+        assert fsck["ok"] and fsck["orphans"] == []
 
 
-def test_shared_scan_delta_sink_raises(tmp_path, stream):
-    multi = _two_tables(tmp_path, state_mode="delta")
-    with pytest.raises(ValueError, match="shared_scan"):
-        multi.replay(stream[0], shared_scan=True)
+@pytest.mark.parametrize("mode", ["rewrite", "delta"])
+def test_multi_table_capped_passes_converge(tmp_path, stream, mode):
+    """Tables at different watermarks, then capped passes: each pass
+    takes at most one batch per table, as each engine's own capped
+    replay would, and the lakes converge to the per-engine outcome."""
+    ev = stream[0]
+    multi = _two_tables(tmp_path, mode)
+    multi.engines["a"].replay(ev, max_batches=3)
+    for i in range(8):
+        res = multi.replay(ev, **({"max_events": 1} if i % 2 else {"max_batches": 1}))
+        applied = {n: r["applied_batches"] for n, r in res.items()}
+        assert all(len(a) <= 1 for a in applied.values()), applied
+        if not any(applied.values()):
+            break
+    assert i == 6  # b takes six passes, a three; the seventh is empty
+    assert {n: _outcome(e) for n, e in multi.engines.items()} == _per_engine(
+        tmp_path, ev, mode
+    )
+
+
+class _Counted:
+    """A remote function whose task launches are counted by name."""
+
+    def __init__(self, fn, name, counts):
+        self.fn, self.name, self.counts = fn, name, counts
+
+    def options(self, **kw):
+        return _Counted(self.fn.options(**kw), self.name, self.counts)
+
+    def remote(self, *args, **kw):
+        self.counts[self.name] = self.counts.get(self.name, 0) + 1
+        return self.fn.remote(*args, **kw)
+
+
+def _lake_bytes(lake):
+    """Every state and DLQ file's bytes, and the lineage ``bucket``
+    records (the manifest and batch summaries carry commit times)."""
+    files, buckets = {}, []
+    for root, _, names in os.walk(lake):
+        rel = os.path.relpath(root, lake)
+        for n in names:
+            p = os.path.join(root, n)
+            if rel == "_lineage":
+                with open(p) as f:
+                    recs = [json.loads(line) for line in f]
+                buckets += [(n, r) for r in recs if r["kind"] == "bucket"]
+            elif rel != "_checkpoint":
+                with open(p, "rb") as f:
+                    files[os.path.join(rel, n)] = f.read()
+    return files, sorted(buckets, key=json.dumps)
+
+
+@pytest.mark.parametrize("mode", ["rewrite", "delta"])
+def test_one_table_pass_is_the_plain_replay(tmp_path, stream, monkeypatch, mode):
+    """A one-table ``MultiTableReplayer`` with an identity route writes
+    the bytes a plain engine writes, through the same tasks."""
+    from glue_etl_pipeline_ray.stages import exchange
+
+    counts = {}
+    for name in ("_map_chunk", "_merge_group", "_delta_group"):
+        monkeypatch.setattr(
+            exchange, name, _Counted(getattr(exchange, name), name, counts)
+        )
+    ev = stream[0]
+    # default fold_threshold: six batches fold nothing (when a background
+    # fold is harvested, and so its version, depends on timing)
+    kw = dict(state_mode=mode, num_exchange=4)
+    ReplayEngine(SPEC, str(tmp_path / "plain"), **kw).replay(ev)
+    plain_counts = dict(counts)
+    counts.clear()
+    keep = lambda t: t  # noqa: E731
+    MultiTableReplayer(str(tmp_path / "multi"), {"t": (SPEC, keep)}, **kw).replay(ev)
+
+    assert counts == plain_counts
+    reduce = "_delta_group" if mode == "delta" else "_merge_group"
+    assert counts[reduce] == 6 * 4  # ne reduces per batch
+    assert counts["_map_chunk"] == 6  # one chunk per small batch
+    plain = _lake_bytes(str(tmp_path / "plain"))
+    multi = _lake_bytes(str(tmp_path / "multi" / "t"))
+    assert plain[0].keys() == multi[0].keys()
+    assert plain == multi
+    assert any(k.startswith("_dlq") for k in plain[0]) and plain[1]
