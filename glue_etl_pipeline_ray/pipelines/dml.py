@@ -40,6 +40,7 @@ from glue_etl_pipeline_ray.stages.merge import (
     DELETED_COL,
     SEQ_COL,
     write_atomic,
+    write_text_atomic,
 )
 from glue_etl_pipeline_ray.state.lease import with_writer_lease
 from glue_etl_pipeline_ray.state.snapshot import (
@@ -342,10 +343,7 @@ class Dml:
             files=files,
             restaged_from=man.get("batch_id"),
         )
-        tmp = os.path.join(new_stage, "MANIFEST.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(new_man, fh)
-        os.replace(tmp, os.path.join(new_stage, "MANIFEST.json"))
+        write_text_atomic(os.path.join(new_stage, "MANIFEST.json"), json.dumps(new_man))
         shutil.rmtree(old_stage, ignore_errors=True)
         summary = self._dml_apply(
             new_bid,
@@ -669,10 +667,7 @@ class Dml:
             "seq_base": base_seq,
             "files": files,
         }
-        tmp = os.path.join(stage, "MANIFEST.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(tmp, os.path.join(stage, "MANIFEST.json"))
+        write_text_atomic(os.path.join(stage, "MANIFEST.json"), json.dumps(manifest))
         # kind + token land atomically with the commit — history() sees
         # the kind in fresh processes with no annotate-after crash window
         summary = self._dml_apply(

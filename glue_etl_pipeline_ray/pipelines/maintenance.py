@@ -36,6 +36,7 @@ from glue_etl_pipeline_ray.stages.merge import (
     part_name,
     state_schema,
     write_atomic,
+    write_text_atomic,
 )
 from glue_etl_pipeline_ray.state.lease import with_writer_lease
 from glue_etl_pipeline_ray.state.snapshot import (
@@ -529,21 +530,18 @@ class Maintenance:
         lin_dir = os.path.join(self.lake_dir, "_lineage")
         os.makedirs(lin_dir, exist_ok=True)
         path = os.path.join(lin_dir, f"batch={wm:05d}_backfill.jsonl")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            f.write(json.dumps(
-                {"kind": "backfill_summary", "batch_id": wm + 1, "watermark": wm}
-            ) + "\n")
-            for b, v in sorted(new_ptrs.items()):
-                f.write(json.dumps({
-                    "kind": "bucket",
-                    "bucket": b,
-                    "batch_id": wm + 1,
-                    "version": v,
-                    "backfill_base": True,
-                    "chain_floor": wm,
-                }) + "\n")
-        os.replace(tmp, path)
+        lines = [{"kind": "backfill_summary", "batch_id": wm + 1, "watermark": wm}] + [
+            {
+                "kind": "bucket",
+                "bucket": b,
+                "batch_id": wm + 1,
+                "version": v,
+                "backfill_base": True,
+                "chain_floor": wm,
+            }
+            for b, v in sorted(new_ptrs.items())
+        ]
+        write_text_atomic(path, "".join(json.dumps(r) + "\n" for r in lines))
 
     def _gc_orphaned_backfill_lineage(self) -> None:
         """Remove backfill lineage files whose manifest commit never
@@ -671,10 +669,7 @@ class Maintenance:
             "columns": cols,
             "buckets": buckets,
         }
-        tmp = f"{man_path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, man_path)
+        write_text_atomic(man_path, json.dumps(manifest))
         # sweep part files this exporter provably wrote (exact naming
         # scheme, generation-suffixed or legacy) that the new manifest
         # does not reference — superseded generations and foreign-lake
@@ -807,18 +802,15 @@ class Maintenance:
         lin_dir = os.path.join(out_lake_dir, "_lineage")
         os.makedirs(lin_dir, exist_ok=True)
         lpath = os.path.join(lin_dir, f"batch={wm:05d}.jsonl")
-        ltmp = f"{lpath}.tmp.{os.getpid()}"
-        with open(ltmp, "w") as f:
-            f.write(json.dumps({
-                "kind": "reshard_base", "batch_id": wm, "factor": factor,
-                "mode": mode, "num_buckets": nb_new,
-            }) + "\n")
-            for nb in new_buckets:
-                f.write(json.dumps({
-                    "kind": "bucket", "bucket": nb, "batch_id": wm,
-                    "version": wm, "reshard_base": True,
-                }) + "\n")
-        os.replace(ltmp, lpath)
+        lines = [{
+            "kind": "reshard_base", "batch_id": wm, "factor": factor,
+            "mode": mode, "num_buckets": nb_new,
+        }] + [
+            {"kind": "bucket", "bucket": nb, "batch_id": wm,
+             "version": wm, "reshard_base": True}
+            for nb in new_buckets
+        ]
+        write_text_atomic(lpath, "".join(json.dumps(r) + "\n" for r in lines))
 
         # commit: one atomic manifest write makes the new lake live
         ckpt_dir = os.path.join(out_lake_dir, "_checkpoint")
@@ -832,11 +824,7 @@ class Maintenance:
                 str(b): {"base": wm, "deltas": []} for b in new_buckets
             },
         }
-        mpath = os.path.join(ckpt_dir, "manifest.json")
-        tmp = mpath + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, mpath)
+        write_text_atomic(os.path.join(ckpt_dir, "manifest.json"), json.dumps(manifest))
         return self._sibling(
             out_lake_dir, dataclasses.replace(spec, num_buckets=nb_new)
         )
@@ -938,10 +926,10 @@ class Maintenance:
             }
             for m in results
         }
-        mtmp = os.path.join(fdir, "manifest.json.tmp")
-        with open(mtmp, "w") as fh:
-            json.dump({"fp_rate": fp_rate, "buckets": meta}, fh)
-        os.replace(mtmp, os.path.join(fdir, "manifest.json"))
+        write_text_atomic(
+            os.path.join(fdir, "manifest.json"),
+            json.dumps({"fp_rate": fp_rate, "buckets": meta}),
+        )
         return {
             "buckets": len(results),
             "bytes": sum(m["bytes"] for m in results),

@@ -106,35 +106,39 @@ class MultiTableReplayer:
         same call again — engines skip their committed batches, the
         group manifest catches up.
 
-        The per-table pass keeps each engine's own exactly-once
-        machinery; this layer adds only the ordering contract (the
-        reference's single workflow run-state covered all six tables
-        the same way)."""
+        Each batch is one capped pass of :func:`replay_engines` over the
+        tables that have not committed it: one map wave reads the batch
+        for all of them, and each keeps its own exactly-once machinery;
+        this layer adds only the ordering contract (the reference's
+        single workflow run-state covered all six tables the same
+        way)."""
         import json
 
         from glue_etl_pipeline_ray.pipelines.replay import discover_batches
+        from glue_etl_pipeline_ray.stages.merge import write_text_atomic
 
         batches = discover_batches(events_dir)
         out: dict[str, list] = {n: [] for n in self.engines}
         gw = self.group_watermark()
-        for bid, _files in batches:
-            for n, e in self.engines.items():
-                if not e.ckpt.is_committed(bid):
-                    out[n].append(e.replay(events_dir, max_batches=1))
-            # group commit point — written for EVERY batch all engines
-            # hold, including batches they had already committed before
-            # this call: a crash after the last table's commit of the
-            # FINAL batch but before this write would otherwise leave
-            # the group watermark one batch behind forever (the re-run
-            # would skip the fully-committed batch without ever
-            # recording it). The write is idempotent; monotone via gw.
-            if bid > gw:
-                p = self._group_manifest_path()
-                tmp = p + ".tmp"
-                with open(tmp, "w") as f:
-                    json.dump({"group_watermark": bid}, f)
-                os.replace(tmp, p)
-                gw = bid
+        with writer_leases(list(self.engines.values())):
+            for bid, _files in batches:
+                todo = {n: e for n, e in self.engines.items() if not e.ckpt.is_committed(bid)}
+                if todo:
+                    runs = replay_engines(list(todo.values()), events_dir, max_batches=1)
+                    for n, run in zip(todo, runs):
+                        out[n].append(run)
+                # group commit point — written for EVERY batch all engines
+                # hold, including batches they had already committed before
+                # this call: a crash after the last table's commit of the
+                # FINAL batch but before this write would otherwise leave
+                # the group watermark one batch behind forever (the re-run
+                # would skip the fully-committed batch without ever
+                # recording it). The write is idempotent; monotone via gw.
+                if bid > gw:
+                    write_text_atomic(
+                        self._group_manifest_path(), json.dumps({"group_watermark": bid})
+                    )
+                    gw = bid
         return out
 
     def consistent_tables(self) -> dict[str, pa.Table]:

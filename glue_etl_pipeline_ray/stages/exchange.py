@@ -193,6 +193,22 @@ def _validate_reduce_slice(
     ]
 
 
+def _bucket_runs(slices):
+    """A reduce group's map slices as one table stably sorted by sink
+    bucket: ``(table, sorted buckets, run starts, run ends)``, one run per
+    bucket. None when every slice is empty."""
+    live = [s for s in slices if s.num_rows]
+    if not live:
+        return None
+    t = live[0] if len(live) == 1 else pa.concat_tables(live)
+    b = t[BUCKET_COL].to_numpy(zero_copy_only=False)
+    order = np.argsort(b, kind="stable")
+    bs = b[order]
+    starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
+    ends = np.r_[starts[1:], len(bs)]
+    return t.take(order), bs, starts, ends
+
+
 @ray.remote
 def _merge_group(
     spec: TableSpec,
@@ -212,17 +228,11 @@ def _merge_group(
     ``{"versions": ..., "records": [...]}``."""
     _pin_intraop_threads()
     versions = dict(prev["versions"])
-    live = [s for s in slices if s.num_rows]
-    if not live:
+    runs = _bucket_runs(slices)
+    if runs is None:
         return {"versions": versions, "records": []}
-    t = live[0] if len(live) == 1 else pa.concat_tables(live)
-    b = t[BUCKET_COL].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    t = t.take(order)
-    bs = b[order]
+    t, bs, starts, ends = runs
     records = []
-    starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
-    ends = np.r_[starts[1:], len(bs)]
     for s, e in zip(starts, ends):
         bucket = int(bs[s])
         records.append(
@@ -260,19 +270,13 @@ def _delta_group(
         write_delta_group,
     )
 
-    live = [s for s in slices if s.num_rows]
-    if not live:
+    runs = _bucket_runs(slices)
+    if runs is None:
         return {"records": []}
-    t = live[0] if len(live) == 1 else pa.concat_tables(live)
-    b = t[BUCKET_COL].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    t = t.take(order)
-    bs = b[order]
+    t, bs, starts, ends = runs
     # events_to_state is a 1:1 row transform, so one vectorized call over
     # the whole group keeps the bucket run boundaries valid
     state_t, _ = events_to_state(spec, evolved, t)
-    starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
-    ends = np.r_[starts[1:], len(bs)]
     records = write_delta_group(
         spec, evolved, lake_dir, batch_id, group_id,
         state_t, bs[starts], starts, ends,

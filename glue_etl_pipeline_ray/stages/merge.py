@@ -167,6 +167,16 @@ def write_atomic(
     os.replace(tmp, path)
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Tmp-write + atomic rename of a text file: the engine's JSON and
+    JSONL commit files (manifests, lineage, DML stage manifests). The
+    tmp file is ``<path>.tmp.<pid>``, as for :func:`write_atomic`."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
+        f.write(text)
+    os.replace(tmp, path)
+
+
 def merge_bucket_table(
     spec: TableSpec,
     evolved: tuple[tuple[str, str], ...],
@@ -185,13 +195,12 @@ def merge_bucket_table(
     Returns the lineage record (incl. the new version) as a plain dict;
     its ``sha256`` field is kept for the lineage schema and left empty.
     """
-    import pyarrow.parquet as pq
+    from glue_etl_pipeline_ray.state.snapshot import Source, read_state
 
     incoming, n_deletes = events_to_state(spec, evolved, group)
     tables = [incoming]
     if prior_version is not None:
-        prior_path = os.path.join(lake_dir, part_name(bucket, prior_version))
-        tables.insert(0, pq.read_table(prior_path))
+        tables.insert(0, read_state(spec, evolved, Source(lake_dir, bucket, prior_version)))
     new_state = lww_state(spec, evolved, tables)
     write_atomic(os.path.join(lake_dir, part_name(bucket, batch_id)), new_state)
 
@@ -266,30 +275,6 @@ def write_delta_group(
     return records
 
 
-def read_gdelta_bucket(
-    lake_dir: str,
-    group: int,
-    version: int,
-    bucket: int,
-    columns: list[str] | None = None,
-) -> pa.Table | None:
-    """Read ONE bucket's rows out of a group delta file via the footer's
-    bucket -> row-group map (column-pruned random access; no scan of the
-    other buckets' row groups). None when the bucket wrote no rows in
-    that batch."""
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(os.path.join(lake_dir, gdelta_name(group, version)))
-    idx = gdelta_row_group(pf, bucket)
-    if idx is None:
-        return None
-    cols = None
-    if columns is not None:
-        names = set(pf.schema_arrow.names)
-        cols = [c for c in columns if c in names]
-    return pf.read_row_groups([idx], columns=cols)
-
-
 def gdelta_row_group(pf, bucket: int) -> int | None:
     """The row group holding ``bucket``'s rows in an open group delta
     file (its footer's :data:`GDELTA_META_KEY` map), or None."""
@@ -297,66 +282,6 @@ def gdelta_row_group(pf, bucket: int) -> int | None:
 
     meta = (pf.metadata.metadata or {}).get(GDELTA_META_KEY)
     return json.loads(meta).get(str(int(bucket))) if meta else None
-
-
-def read_parquet_pruned(path: str, want: list[str] | None) -> pa.Table:
-    """Column-projected Parquet read with the pre-evolution fallback:
-    engine-written files carry every requested column, so the direct
-    read succeeds except on files written before a schema evolution —
-    only those pay an extra footer read to intersect the projection
-    with what the file actually has. Used by state folds; reads of a
-    single state file go through ``state/snapshot.py`` (``read_live``,
-    ``read_state``), which open each file once."""
-    import pyarrow.parquet as pq
-
-    if want is None:
-        return pq.read_table(path)
-    try:
-        return pq.read_table(path, columns=want)
-    except pa.ArrowInvalid:
-        names = set(pq.read_schema(path).names)
-        return pq.read_table(path, columns=[c for c in want if c in names])
-
-
-def read_bucket_state(
-    spec: TableSpec,
-    evolved: tuple[tuple[str, str], ...],
-    lake_dir: str,
-    base_version: int | None,
-    delta_versions: list,
-    bucket: int,
-    columns: list[str] | None = None,
-) -> pa.Table:
-    """Fold a bucket's base and its chain of ``[version, group]``
-    group-file entries to its current state rows.
-
-    ``columns``: payload projection pushed to the Parquet reads — only
-    the requested columns plus what the fold itself needs (keys,
-    ``__seq``, ``__deleted``) leave storage; per-file intersection with
-    the footer schema handles pre-evolution files."""
-    import pyarrow.parquet as pq
-
-    want = None
-    if columns is not None:
-        want = list(
-            dict.fromkeys(
-                list(columns) + list(spec.key_cols) + [SEQ_COL, DELETED_COL]
-            )
-        )
-
-    def _read(path: str) -> pa.Table:
-        return read_parquet_pruned(path, want)
-
-    tables = []
-    if base_version is not None:
-        tables.append(_read(os.path.join(lake_dir, part_name(bucket, base_version))))
-    for v, g in sorted(delta_versions):
-        t = read_gdelta_bucket(lake_dir, int(g), int(v), bucket, columns=want)
-        if t is not None:
-            tables.append(t)
-    if not tables:
-        return state_schema(spec, evolved, columns).empty_table()
-    return lww_state(spec, evolved, tables, columns)
 
 
 CHANGE_TYPE_COL = "_change_type"

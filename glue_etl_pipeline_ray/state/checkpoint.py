@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 
-from glue_etl_pipeline_ray.stages.merge import part_name
+from glue_etl_pipeline_ray.stages.merge import part_name, write_text_atomic
 
 
 class CheckpointManager:
@@ -272,7 +272,4 @@ class CheckpointManager:
 
     def _write(self, m: dict) -> None:
         os.makedirs(self.dir, exist_ok=True)
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(m, f, indent=1, sort_keys=True)
-        os.replace(tmp, self.path)
+        write_text_atomic(self.path, json.dumps(m, indent=1, sort_keys=True))

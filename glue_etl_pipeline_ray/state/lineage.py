@@ -13,17 +13,17 @@ from __future__ import annotations
 import json
 import os
 
+from glue_etl_pipeline_ray.stages.merge import write_text_atomic
+
 
 def write_lineage(lake_dir: str, batch_id: int, records: list[dict], summary: dict) -> str:
     d = os.path.join(lake_dir, "_lineage")
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, f"batch={batch_id:05d}.jsonl")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(json.dumps({"kind": "batch_summary", **summary}) + "\n")
-        for r in sorted(records, key=lambda r: r["bucket"]):
-            f.write(json.dumps({"kind": "bucket", **r}) + "\n")
-    os.replace(tmp, path)
+    lines = [{"kind": "batch_summary", **summary}] + [
+        {"kind": "bucket", **r} for r in sorted(records, key=lambda r: r["bucket"])
+    ]
+    write_text_atomic(path, "".join(json.dumps(r) + "\n" for r in lines))
     return path
 
 

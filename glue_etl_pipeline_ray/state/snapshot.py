@@ -7,9 +7,12 @@ feed, cross-lake diffs, point lookups) goes through one
     resolve   manifest (tip) or lineage log (``as_of``) -> one Source per
               bucket: a base part file plus a chain of group-file entries
               (empty for a bucket the rewrite sink wrote)
-    read      read_live(src): conform, drop tombstones, project, filter —
-              each file opened once, predicates pushed to row-group
-              statistics when the source is a single state file
+    read      _probe_files(src) opens the source's files, each with the
+              row groups holding the bucket, and _read_groups decodes
+              the columns a file has; on top, read_state conforms and
+              LWW-folds a chain, and read_live drops tombstones, filters
+              and projects (predicates pushed to row-group statistics
+              when the source is a single state file)
     dispatch  contiguous groups of buckets, one plain Ray task per group
               returning one concatenated table (plan_groups)
 
@@ -20,8 +23,9 @@ file I/O, not a per-file plan (the *Delta Lake* point): on one CPU a
 driver, key columns first and payloads only for hits (``probe``), and
 launch no task at all.
 
-Maintenance and DML rewrites read through the same reader: ``read_state``
-returns a bucket's full state (tombstones and ``__seq`` included), and
+Maintenance, DML and the rewrite sink's merge read through the same
+reader: ``read_state`` returns a bucket's full state (tombstones and
+``__seq`` included), and
 ``map_buckets`` runs a per-bucket function over the tip's sources in the
 same contiguous groups, one task per group.
 
@@ -53,8 +57,8 @@ from glue_etl_pipeline_ray.stages.merge import (
     SEQ_COL,
     gdelta_name,
     gdelta_row_group,
+    lww_state,
     part_name,
-    read_bucket_state,
     snapshot_diff,
     state_schema,
 )
@@ -159,7 +163,15 @@ def _may_match(stats, op: str, val) -> bool:
 
 
 def _row_groups(pf: pq.ParquetFile, where) -> list[int]:
+    """The row groups whose statistics may match every ``where`` triple
+    (all of them for no triple); none when the file lacks a predicate
+    column (a file written before an evolution holds null there, which
+    matches nothing)."""
     md = pf.metadata
+    if not where:
+        return list(range(md.num_row_groups))
+    if any(c not in pf.schema_arrow.names for c, _, _ in where):
+        return []
     idx = {md.schema.column(i).path: i for i in range(md.num_columns)}
     return [
         g
@@ -177,59 +189,44 @@ def live_schema(spec, evolved, columns: list[str]) -> pa.Schema:
     return pa.schema([sch.field(c) for c in columns])
 
 
+def read_state(spec, evolved, src: Source, columns: list[str] | None = None,
+               prune=()) -> pa.Table:
+    """Every state row of one bucket, tombstones and ``__seq`` included,
+    conformed to the state schema (``columns``: payload projection; keys
+    are always kept). Each file is read for the columns it has (a file
+    written before an evolution lacks later ones). A source that is one
+    base file is not LWW-folded (a state file holds one row per key); any
+    other source is. ``prune``: ``where`` triples that skip the row
+    groups of a one-file source whose statistics rule them out; rows are
+    not filtered."""
+    st = state_schema(spec, evolved, columns)
+    parts = [
+        t for pf, groups in _probe_files(src, prune)
+        if (t := _read_groups(pf, groups, st.names)) is not None
+    ]
+    if src.base is not None and not src.chain:
+        return conform(parts[0], st)
+    return lww_state(spec, evolved, parts, columns) if parts else st.empty_table()
+
+
 def read_live(spec, evolved, src: Source, columns: list[str], where=()) -> pa.Table:
     """One bucket's live rows: ``columns`` (canonical order) of the rows
     that are not tombstones and match every ``where`` triple.
 
-    A source that is one state file (every rewrite bucket, a folded
-    delta bucket) is opened once: its footer decides the projection (a
-    file written before an evolution lacks the column; one lacking a
-    predicate column matches nothing), its row-group statistics skip
-    groups the predicate rules out, and the rest is filtered in memory.
-    A delta chain is folded first — a key's winner is only known after
-    the fold, so filtering pre-fold rows could resurrect a stale version
-    whose payload matches — and the predicate applies to the fold."""
+    :func:`read_state` of the columns the output and the predicate need,
+    then the tombstone filter and the predicate. A one-file source (every
+    rewrite bucket, a folded delta bucket) also skips the row groups the
+    predicate rules out by their statistics. A delta chain is folded
+    first — a key's winner is only known after the fold, so filtering
+    pre-fold rows could resurrect a stale version whose payload matches —
+    and the predicate applies to the fold."""
     where = list(where)
     need = list(dict.fromkeys(list(columns) + [c for c, _, _ in where]))
-    if src.chain or src.base is None:
-        proj = None if len(need) == len(spec.canonical_cols(evolved)) else need
-        t = read_bucket_state(
-            spec, evolved, src.lake_dir, src.base, list(src.chain), src.bucket,
-            columns=proj,
-        )
-    else:
-        pf = pq.ParquetFile(src.files()[0])
-        names = set(pf.schema_arrow.names)
-        if any(c not in names for c, _, _ in where):
-            return live_schema(spec, evolved, columns).empty_table()
-        want = set(need) | {DELETED_COL}
-        st = pa.schema([f for f in state_schema(spec, evolved) if f.name in want])
-        read_cols = [f.name for f in st if f.name in names]
-        if where:
-            t = pf.read_row_groups(_row_groups(pf, where), columns=read_cols)
-        else:
-            t = pf.read(columns=read_cols)
-        t = conform(t, st)
+    t = read_state(spec, evolved, src, need, prune=where)
     mask = pc.invert(t[DELETED_COL])
     if where:
         mask = pc.and_(mask, where_mask(t, where))
     return t.filter(mask).select(list(columns))
-
-
-def read_state(spec, evolved, src: Source, columns: list[str] | None = None) -> pa.Table:
-    """Every state row of one bucket, tombstones and ``__seq`` included,
-    conformed to the state schema (``columns``: payload projection; keys
-    are always kept). A single-file source is opened once and not
-    LWW-folded (state files hold one row per key); a chain is folded."""
-    if src.chain or src.base is None:
-        return read_bucket_state(
-            spec, evolved, src.lake_dir, src.base, list(src.chain), src.bucket,
-            columns=columns,
-        )
-    st = state_schema(spec, evolved, columns)
-    pf = pq.ParquetFile(src.files()[0])
-    names = set(pf.schema_arrow.names)
-    return conform(pf.read(columns=[f.name for f in st if f.name in names]), st)
 
 
 def diff_live(spec, evolved, old: Source | None, new: Source | None,
@@ -248,14 +245,17 @@ def diff_live(spec, evolved, old: Source | None, new: Source | None,
     )
 
 
-def _probe_files(src: Source) -> list[tuple[pq.ParquetFile, list[int]]]:
-    """The files a point lookup of ``src`` reads, in fold order, each
-    open with the row groups that hold the bucket: all of the base
-    file's, and the bucket's one group in each chain file that has it."""
+def _probe_files(src: Source, where=()) -> list[tuple[pq.ParquetFile, list[int]]]:
+    """The files of ``src`` in fold order, each open with the row groups
+    that hold the bucket: the base file's (for a one-file source, those
+    :func:`_row_groups` keeps for ``where``), and the bucket's one group
+    in each chain file that has it. The one place a bucket's state files
+    are opened."""
     out = []
     if src.base is not None:
         pf = pq.ParquetFile(os.path.join(src.lake_dir, part_name(src.bucket, src.base)))
-        out.append((pf, list(range(pf.metadata.num_row_groups))))
+        # a chain's base may hold stale versions that match: never pruned
+        out.append((pf, _row_groups(pf, () if src.chain else where)))
     for v, g in src.chain:
         pf = pq.ParquetFile(os.path.join(src.lake_dir, gdelta_name(g, v)))
         idx = gdelta_row_group(pf, src.bucket)
@@ -264,22 +264,24 @@ def _probe_files(src: Source) -> list[tuple[pq.ParquetFile, list[int]]]:
     return out
 
 
-def _read_groups(pf, groups, columns, cost) -> pa.Table | None:
+def _read_groups(pf, groups, columns, cost=None) -> pa.Table | None:
     """Decode the ``columns`` a file has (a pre-evolution file lacks
     later ones) in row ``groups``, single-threaded; None if it has none.
-    Adds the footer ``total_compressed_size`` of the column chunks read
-    (a nested column: all its leaves) to ``cost["bytes_decoded"]``."""
+    With a ``cost`` dict, adds the footer ``total_compressed_size`` of
+    the column chunks read (a nested column: all its leaves) to
+    ``cost["bytes_decoded"]``."""
     md = pf.metadata
     tops = [md.schema.column(i).path.split(".")[0] for i in range(md.num_columns)]
     have = [c for c in columns if c in tops]
     if not have:
         return None
-    cost["bytes_decoded"] += sum(
-        md.row_group(g).column(i).total_compressed_size
-        for g in groups
-        for i, c in enumerate(tops)
-        if c in have
-    )
+    if cost is not None:
+        cost["bytes_decoded"] += sum(
+            md.row_group(g).column(i).total_compressed_size
+            for g in groups
+            for i, c in enumerate(tops)
+            if c in have
+        )
     return pf.read_row_groups(groups, columns=have, use_threads=False)
 
 

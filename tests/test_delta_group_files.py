@@ -9,6 +9,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from glue_etl_pipeline_ray.gen import generate_change_events
 from glue_etl_pipeline_ray.oracle import replay_oracle
@@ -16,11 +17,12 @@ from glue_etl_pipeline_ray.pipelines.replay import ReplayEngine
 from glue_etl_pipeline_ray.spec import repo_file_spec
 from glue_etl_pipeline_ray.stages.merge import (
     events_to_state,
-    read_bucket_state,
+    gdelta_name,
+    gdelta_row_group,
     lww_state,
-    read_gdelta_bucket,
     write_delta_group,
 )
+from glue_etl_pipeline_ray.state.snapshot import Source, read_state
 
 
 def _gen(tmp_path, **kw):
@@ -55,7 +57,7 @@ def test_lake_layout_is_group_files(ray_session, tmp_path):
 
 
 def test_legacy_and_group_entries_fold_identically(tmp_path):
-    """read_bucket_state over group files ([v, g] entries) folds to the
+    """read_state over group files ((v, g) chain entries) folds to the
     LWW state of the same rows."""
     spec = repo_file_spec(num_buckets=8)
     rows = 400
@@ -93,11 +95,11 @@ def test_legacy_and_group_entries_fold_identically(tmp_path):
     for bk in sorted(set(bucket.tolist())):
         rows_b = t.filter(pa.array(bucket == bk))
         want = lww_state(spec, (), [events_to_state(spec, (), rows_b)[0]])
-        grouped = read_bucket_state(spec, (), lake_b, None,
-                                    [[0, 0], [1, 0]], bk)
+        grouped = read_state(spec, (), Source(lake_b, bk, None, ((0, 0), (1, 0))))
         assert want.sort_by("commit").equals(grouped.sort_by("commit"))
     # bucket absent from a batch -> None, not an error
-    assert read_gdelta_bucket(lake_b, 0, 0, 9999) is None
+    pf = pq.ParquetFile(os.path.join(lake_b, gdelta_name(0, 0)))
+    assert gdelta_row_group(pf, 9999) is None
 
 
 def test_gdelta_gc_waits_for_last_reference(ray_session, tmp_path):

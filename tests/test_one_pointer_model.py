@@ -321,3 +321,29 @@ def test_one_table_pass_is_the_plain_replay(tmp_path, stream, monkeypatch, mode)
     assert plain[0].keys() == multi[0].keys()
     assert plain == multi
     assert any(k.startswith("_dlq") for k in plain[0]) and plain[1]
+
+
+@pytest.mark.parametrize("mode", ["rewrite", "delta"])
+def test_replay_atomic_reads_each_batch_once(tmp_path, stream, monkeypatch, mode):
+    """``replay_atomic`` runs one map wave per batch for every table
+    missing it, not one per table, and reaches each table's own outcome.
+    Table a starts two batches ahead, so those batches feed b alone."""
+    from glue_etl_pipeline_ray.stages import exchange
+
+    counts = {}
+    monkeypatch.setattr(
+        exchange, "_map_chunk", _Counted(exchange._map_chunk, "_map_chunk", counts)
+    )
+    ev = stream[0]
+    multi = _two_tables(tmp_path, mode)
+    multi.engines["a"].replay(ev, max_batches=2)
+    counts.clear()
+    out = multi.replay_atomic(ev)
+
+    assert counts["_map_chunk"] == 6  # one chunk per small batch, read once
+    assert [r["applied_batches"] for r in out["a"]] == [[b] for b in range(2, 6)]
+    assert [r["applied_batches"] for r in out["b"]] == [[b] for b in range(6)]
+    assert multi.group_watermark() == 5
+    assert {n: _outcome(e) for n, e in multi.engines.items()} == _per_engine(
+        tmp_path, ev, mode
+    )
