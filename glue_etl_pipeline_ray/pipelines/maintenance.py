@@ -9,8 +9,8 @@ snapshot read plus one atomic commit.
               per contiguous bucket group runs a module-level per-bucket
               function below (read_state -> transform -> write)
     commit    _commit_rewrite: ONE manifest write points every rewritten
-              bucket at its new file, then the superseded files are
-              retired (retention window) or removed
+              bucket at its new file and retires the files it supersedes,
+              then the files that write dropped are unlinked
 
 Every bucket is a base file plus a chain of group-file entries, whichever
 sink wrote it, so nothing here depends on ``state_mode``; ``_release`` is
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 import re
 
@@ -40,7 +41,6 @@ from glue_etl_pipeline_ray.stages.merge import (
 )
 from glue_etl_pipeline_ray.state.lease import with_writer_lease
 from glue_etl_pipeline_ray.state.snapshot import (
-    STATE_FILE_RE,
     SnapshotReader,
     Source,
     read_state,
@@ -257,34 +257,29 @@ class Maintenance:
     """Maintenance methods of ``ReplayEngine`` (see the module docstring)."""
 
     # ---------------------------------------------------------- commit tail
-    def _release(self, old: dict[int, Source], at: int) -> None:
-        """The tail of every commit, run after the manifest write (a
-        crash only leaves extra files, never dangling pointers): the
-        files of the ``old`` sources that the tip no longer reads are
-        retired tagged ``at`` (``retain_batches``: still the only source
-        of as-of reads before ``at``, purged once the horizon passes it)
-        or removed. A history-keeping lake (``gc_old_versions=False``)
-        keeps them: its time travel reads them."""
+    def _horizon(self, wm: int) -> float | None:
+        """The retirement horizon of a commit at watermark ``wm``: ledger
+        entries tagged at or below it are released. Infinite under plain
+        GC, ``wm - retain_batches`` under retention, None (release
+        nothing) with ``gc_old_versions=False``."""
         if not self.gc_old_versions:
-            return
-        still = {
-            os.path.basename(f)
-            for s in SnapshotReader.of(self).resolve().values()
-            for f in s.files()
-        }
-        dead = {
-            os.path.basename(f) for s in old.values() for f in s.files()
-        } - still
-        if self.retain_batches is not None:
-            self.ckpt.retire_files([(name, at) for name in sorted(dead)])
-            dead = self.ckpt.purge_retired_files(
-                self.ckpt.watermark - self.retain_batches
-            )
-        for name in dead:
+            return None
+        if self.retain_batches is None:
+            return math.inf
+        return wm - self.retain_batches
+
+    def _release(self, names) -> int:
+        """Unlink the lake-root files ``names``: the ones a commit's
+        manifest write dropped from the served set, or the orphans
+        :meth:`gc_orphans` found. Returns the files removed."""
+        n = 0
+        for name in names:
             try:
                 os.remove(os.path.join(self.lake_dir, name))
+                n += 1
             except FileNotFoundError:
                 pass
+        return n
 
     def _commit_rewrite(
         self,
@@ -296,16 +291,17 @@ class Maintenance:
     ) -> None:
         """Commit a maintenance rewrite: ONE manifest write points each
         bucket of ``new_v`` at base version ``new_v[b]``, with the chain
-        of ``old[b]`` folded into it (see
-        ``CheckpointManager.record_rewrite`` for ``summary`` and
-        ``evolved``), then :meth:`_release` deals with the files of
-        ``old``."""
+        of ``old[b]`` folded into it, and retires the files it supersedes
+        tagged ``at`` (see ``CheckpointManager.record_rewrite`` for
+        ``summary`` and ``evolved``); then :meth:`_release` unlinks the
+        files that write dropped."""
         folds = {
             b: {"base": v, "folded_deltas": list(old[b].chain)}
             for b, v in new_v.items()
         }
-        self.ckpt.record_rewrite(summary, folds, evolved)
-        self._release({b: old[b] for b in new_v}, at)
+        self._release(self.ckpt.record_rewrite(
+            summary, folds, at, self._horizon(self.ckpt.watermark), evolved
+        ))
 
     # -------------------------------------------------------- delta folds
     def _submit_folds(self, buckets) -> tuple:
@@ -327,8 +323,9 @@ class Maintenance:
     def _apply_fold_results(self, metas, srcs: dict[int, Source], wm: int) -> None:
         """Wait for submitted folds and commit them (superseded files
         retire tagged with the fold version: as-of reads at or above it
-        anchor on the new base). A crash before the commit only leaves
-        orphan base files, which :meth:`gc_orphans` reclaims."""
+        anchor on the new base). A crash before the commit leaves the new
+        base files unserved: :meth:`gc_orphans` removes them, and a
+        later fold at the same watermark overwrites them."""
         new_v = {
             m["bucket"]: m["version"]
             for m in _metas(SnapshotReader.of(self), metas)
@@ -982,36 +979,13 @@ class Maintenance:
     # -------------------------------------------------------------------- GC
     @with_writer_lease
     def gc_orphans(self) -> int:
-        """Delete state/delta files that no served snapshot reads and
-        that no commit made — leftovers of a crash inside the
-        at-least-once window (a resumed run overwrites the ones it
-        re-creates; this clears the rest). A file is an orphan when its
-        version is above the watermark (or, in the backfill namespace,
-        when no backfill committed at its watermark); older unreferenced
-        files are never touched. Returns the files removed."""
-        # the backfill namespace (10^9 + wm) defeats the "version >
-        # watermark means uncommitted" test: a committed backfill's files
-        # are ALWAYS numbered above any watermark, so judge them by the
-        # backfill ledger instead
-        backfilled_wms = {bf.get("watermark") for bf in self.ckpt.backfills}
-        wm = self.ckpt.watermark
-        n = 0
-        for name in SnapshotReader.of(self).unserved():
-            m = STATE_FILE_RE.match(name)
-            if not m:
-                continue
-            v = int(m.group(2))
-            if v >= BACKFILL_VERSION:
-                orphan = (v - BACKFILL_VERSION) not in backfilled_wms
-            else:
-                orphan = v > wm
-            if orphan:
-                try:
-                    os.remove(os.path.join(self.lake_dir, name))
-                    n += 1
-                except FileNotFoundError:
-                    pass
-        return n
+        """Delete every state file no snapshot served under the retention
+        policy reads (a lake marked ``keep_history`` keeps its history
+        under any engine): the ``orphans`` :meth:`fsck` lists. They are a
+        crash's leftovers: files of a batch or rewrite that never
+        committed, or of a commit cut among its unlinks. Exact because
+        each commit is one manifest write. Returns the files removed."""
+        return self._release(SnapshotReader.of(self).unserved())
 
     @with_writer_lease
     def gc_dml_staging(self) -> int:

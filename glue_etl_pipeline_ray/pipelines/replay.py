@@ -9,7 +9,7 @@ Ray-native re-expression of the reference's 7-job Glue workflow
                     -> split by bucket range   # map side of the shuffle
       -> merge tasks: per-bucket LWW vs prior  # convert-job analog +
                       versioned state file     # idempotent sink
-    drain in order: lineage + checkpoint commit + old-version GC  # post-job
+    drain in order: lineage + ONE manifest write + unlink released  # post-job
 
 The driver loop is the incremental-ingest cursor
 (``update_workflow_properties.py:104-165`` analog): pending batches =
@@ -68,6 +68,7 @@ from glue_etl_pipeline_ray.stages.exchange import (
     read_file_metas,
     submit_batch,
 )
+from glue_etl_pipeline_ray.stages.merge import write_atomic
 from glue_etl_pipeline_ray.state.checkpoint import CheckpointManager
 from glue_etl_pipeline_ray.state.lease import with_writer_lease
 from glue_etl_pipeline_ray.state.lineage import write_lineage
@@ -329,10 +330,11 @@ class ReplayEngine(Maintenance, Dml):
             summary.update(extra)
         if _fail_before_commit:
             raise RuntimeError(f"injected crash before commit of batch {batch_id}")
-        old = SnapshotReader.of(self).resolve(buckets=pointers)
         write_lineage(self.lake_dir, batch_id, records, summary)
-        self.ckpt.commit_batch(batch_id, evolved, summary, pointers)
-        self._release(old, batch_id)
+        wm = max(self.ckpt.watermark, batch_id)
+        self._release(self.ckpt.commit_batch(
+            batch_id, evolved, summary, pointers, self._horizon(wm)
+        ))
         return summary
 
     # ----------------------------------------------------------- final state
@@ -513,9 +515,9 @@ class ReplayEngine(Maintenance, Dml):
     def fsck(self) -> dict:
         """Lake integrity check (the VACUUM dry-run / fsck an
         operational lake needs): verify every state file the committed
-        manifest references exists, and list the lake's data files that
-        no snapshot served under the retention policy reads (uncommitted
-        orphans from a crash — safe to delete, never safe to read; time
+        manifest references exists, and list the lake's state files
+        that no snapshot served under the retention policy reads (crash
+        leftovers — exactly the set :meth:`gc_orphans` removes; time
         travel files of a history-keeping lake and retired files inside
         the retention window are served, not orphans). Metadata-only:
         O(manifest + lineage + directory listing), no data reads, no
@@ -523,8 +525,8 @@ class ReplayEngine(Maintenance, Dml):
 
         Returns ``{"ok", "missing", "orphans", "n_referenced"}`` —
         ``ok`` is True iff nothing referenced is missing. Orphans are
-        normal debris after a crash mid-batch (deterministic names mean
-        the next replay overwrites them); MISSING files mean real
+        normal debris after a crash inside a commit (deterministic names
+        mean a re-run overwrites most of them); MISSING files mean real
         corruption (manual deletion / partial restore)."""
         return SnapshotReader.of(self).fsck()
 
@@ -650,9 +652,7 @@ class ReplayEngine(Maintenance, Dml):
         redrive_dir = os.path.join(self.lake_dir, "_redrive")
         os.makedirs(redrive_dir, exist_ok=True)
         path = os.path.join(redrive_dir, f"batch={new_bid:05d}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_atomic(path, t, compression="snappy")
         summary = self.replay(redrive_dir)
         # post-commit cleanup (idempotent): drop redriven rows from the
         # source DLQ dirs and the consumed redrive staging file
@@ -673,9 +673,7 @@ class ReplayEngine(Maintenance, Dml):
                 if kept.num_rows == 0:
                     os.remove(f)
                 else:
-                    ftmp = f + ".tmp"
-                    pq.write_table(kept, ftmp)
-                    os.replace(ftmp, f)
+                    write_atomic(f, kept, compression="snappy")
         os.remove(path)
         return {
             "n_redriven": len(redriven_seqs),

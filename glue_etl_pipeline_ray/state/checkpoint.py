@@ -18,9 +18,10 @@ pointers of the committed snapshot (see :class:`CheckpointManager`).
 from __future__ import annotations
 
 import json
+import math
 import os
 
-from glue_etl_pipeline_ray.stages.merge import part_name, write_text_atomic
+from glue_etl_pipeline_ray.stages.merge import gdelta_name, part_name, write_text_atomic
 
 
 class CheckpointManager:
@@ -31,7 +32,10 @@ class CheckpointManager:
     with an empty chain). One retirement ledger, ``retired_files``:
     ``[name, at]`` for superseded files kept for as-of reads until the
     retention horizon passes ``at``. ``fold_history`` lists the bases
-    folds and compactions wrote (the anchors of retained time travel)."""
+    folds and compactions wrote (the anchors of retained time travel).
+    ``keep_history`` marks a lake whose time travel reads every file.
+    Every commit is one manifest write that swaps pointers and ledger
+    together (:meth:`_commit`)."""
 
     def __init__(self, lake_dir: str):
         self.dir = os.path.join(lake_dir, "_checkpoint")
@@ -143,8 +147,10 @@ class CheckpointManager:
         self,
         summary: dict | None,
         folds: dict[int, dict],
+        at: int,
+        horizon: float | None,
         evolved: tuple[tuple[str, str], ...] | None = None,
-    ) -> None:
+    ) -> list[str]:
         """Commit a maintenance rewrite of bucket state in ONE atomic
         manifest write. ``folds`` maps ``bucket -> {"base": version,
         "folded_deltas": [...]}``: the base is replaced and the folded
@@ -154,12 +160,13 @@ class CheckpointManager:
         one-rewrite-per-watermark guard, with ``evolved`` registering
         columns a backfill added. Folds and compactions are recorded in
         ``fold_history``. None of these are batches: no batch summary, no
-        watermark change."""
+        watermark change. ``at`` and ``horizon``: see :meth:`_commit`."""
         m = self._m
         is_fold = summary is None or summary.get("kind") == "compaction"
         if summary is not None:
             ledger = "compactions" if is_fold else "backfills"
             m.setdefault(ledger, []).append(summary)
+        old = self._files(folds)
         for b, f in folds.items():
             ent = m["bucket_deltas"].setdefault(str(b), {"base": None, "deltas": []})
             ent["base"] = int(f["base"])
@@ -171,7 +178,7 @@ class CheckpointManager:
                     hist.append(f["base"])
         if evolved is not None:
             m["evolved"] = [list(e) for e in evolved]
-        self._write(m)
+        return self._commit(old, at, horizon)
 
     @property
     def fold_history(self) -> dict[int, list[int]]:
@@ -183,42 +190,19 @@ class CheckpointManager:
             for b, vs in self._m.get("fold_history", {}).items()
         }
 
-    def retire_files(self, entries: list[tuple[str, int]]) -> None:
-        """Bounded retention: superseded files are recorded as
-        ``[filename, at]`` instead of deleted, ``at`` being the version
-        from which as-of reads anchor on their successor; they stay
-        readable for time travel until :meth:`purge_retired_files`'s
-        horizon passes ``at``."""
-        if entries:
-            self._m.setdefault("retired_files", []).extend(
-                [str(f), int(at)] for f, at in entries
-            )
-            self._write(self._m)
-
-    def purge_retired_files(self, horizon: int) -> list[str]:
-        """Pop and return filenames whose ``at`` is at or below
-        ``horizon`` — every reachable as-of >= horizon anchors on their
-        successor (or a newer one), so these files are safe to delete.
-        Manifest written first: a crash between write and delete only
-        leaks files, never dangles a pointer."""
-        kept, purged = [], []
-        for ent in self._m.get("retired_files", []):
-            (purged if ent[1] <= horizon else kept).append(ent)
-        if purged:
-            self._m["retired_files"] = kept
-            self._write(self._m)
-        return [f for f, _at in purged]
-
     def commit_batch(
         self,
         batch_id: int,
         evolved: tuple[tuple[str, str], ...],
         summary: dict,
         pointers: dict[int, object] | None = None,
-    ) -> None:
-        """Commit a batch. ``pointers`` maps each bucket the batch wrote
-        to its new entry: an int is a new base version (it replaces the
-        chain), a ``[version, group]`` pair is appended to the chain."""
+        horizon: float | None = None,
+    ) -> list[str]:
+        """Commit a batch in ONE atomic manifest write. ``pointers`` maps
+        each bucket the batch wrote to its new entry: an int is a new
+        base version (it replaces the chain), a ``[version, group]`` pair
+        is appended to the chain. The files it supersedes retire tagged
+        ``batch_id`` (see :meth:`_commit` for ``horizon``)."""
         import time
 
         m = self._m
@@ -230,7 +214,9 @@ class CheckpointManager:
         # pre-set it — tests pin deterministic clocks that way)
         summary.setdefault("commit_ts", time.time())
         m["batches"][str(batch_id)] = summary
-        for b, p in (pointers or {}).items():
+        pointers = pointers or {}
+        old = self._files(pointers)
+        for b, p in pointers.items():
             ent = m["bucket_deltas"].setdefault(str(b), {"base": None, "deltas": []})
             if isinstance(p, (list, tuple)):
                 p = [int(p[0]), int(p[1])]
@@ -238,7 +224,40 @@ class CheckpointManager:
                     ent["deltas"].append(p)
             else:
                 ent["base"], ent["deltas"] = int(p), []
+        return self._commit(old, batch_id, horizon)
+
+    def _files(self, buckets) -> set[str]:
+        """The state files the manifest's entries of ``buckets`` name."""
+        bd, out = self._m["bucket_deltas"], set()
+        for b in map(str, buckets):
+            d = bd.get(b, {"base": None, "deltas": []})
+            out.update(gdelta_name(g, v) for v, g in d["deltas"])
+            if d["base"] is not None:
+                out.add(part_name(int(b), d["base"]))
+        return out
+
+    def _commit(self, old: set[str], at: int, horizon: float | None) -> list[str]:
+        """The one manifest write of every commit, once the caller has
+        repointed the buckets whose files were ``old``. With a
+        ``horizon``, the ``old`` files no bucket names any more join
+        ``retired_files`` tagged ``at``, and the same write drops every
+        entry tagged at or below ``horizon`` (all, under plain GC's
+        infinite one); returns the dropped names, for the caller to
+        unlink (``gc_orphans`` removes any a crash leaves). Without one
+        nothing is released and the lake is marked ``keep_history``."""
+        m = self._m
+        ledger = m.get("retired_files", [])
+        if horizon is None:
+            m["keep_history"] = True
+        else:
+            # a group file stays while any bucket still chains it
+            gone = old - self._files(m["bucket_deltas"])
+            ledger = ledger + [[n, int(at)] for n in sorted(gone)]
+            # a lake that never retained anything keeps no ledger
+            if "retired_files" in m or (gone and horizon != math.inf):
+                m["retired_files"] = [e for e in ledger if e[1] > horizon]
         self._write(m)
+        return [] if horizon is None else [n for n, a in ledger if a <= horizon]
 
     def annotate_batch(self, batch_id: int, extra: dict) -> None:
         """Attach metadata to an already-committed batch's summary

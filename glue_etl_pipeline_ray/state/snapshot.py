@@ -36,7 +36,6 @@ rows read, for ``map_buckets``) and Ray ``tasks`` launched.
 
 from __future__ import annotations
 
-import glob
 import os
 import re
 from bisect import bisect_right
@@ -112,8 +111,9 @@ def _source(lake_dir: str, bucket: int, base, chain) -> Source:
 
 def where_mask(t: pa.Table, where) -> pa.Array:
     """Vectorized conjunction mask for a ``scan`` predicate list. Null
-    compares to nothing (``fill_null(False)``): SQL comparison
-    semantics, the same on every read path."""
+    matches no op (``fill_null(False)``, and ``in`` skips nulls even
+    when its value set holds ``None``): SQL comparison semantics, the
+    same on every read path."""
     mask = None
     for col, op, val in where:
         c = t[col]
@@ -130,7 +130,7 @@ def where_mask(t: pa.Table, where) -> pa.Array:
         elif op == ">=":
             m = pc.greater_equal(c, val)
         elif op == "in":
-            m = pc.is_in(c, value_set=pa.array(list(val)))
+            m = pc.is_in(c, value_set=pa.array(list(val)), skip_nulls=True)
         else:  # validated upstream; defensive
             raise ValueError(f"unknown op {op!r}")
         m = pc.fill_null(m, False)
@@ -141,14 +141,15 @@ def where_mask(t: pa.Table, where) -> pa.Array:
 def _may_match(stats, op: str, val) -> bool:
     """False only when a row group's min/max rule the predicate out.
     ``!=`` never prunes (NaN is outside float statistics yet unequal to
-    everything), nor do missing or incomparable statistics."""
+    everything), nor do missing or incomparable statistics. A ``None``
+    value matches nothing, so it never keeps a row group."""
     if stats is None or not stats.has_min_max:
         return True
     lo, hi = stats.min, stats.max
     try:
         if op in ("==", "in"):
             vals = val if op == "in" else [val]
-            return any(v is None or lo <= v <= hi for v in vals)
+            return any(v is not None and lo <= v <= hi for v in vals)
         if op == "<":
             return lo < val
         if op == "<=":
@@ -480,8 +481,8 @@ class SnapshotReader:
     def _require_history(self, as_of: int) -> None:
         """Raise unless the ``as_of`` snapshot is reconstructible under
         the retention policy: always with ``gc_old_versions=False``;
-        inside the trailing window with ``retain_batches=N`` (a purge only
-        removes files whose successor is at or below the horizon, so any
+        inside the trailing window with ``retain_batches=N`` (a commit only
+        releases files whose successor is at or below the horizon, so any
         snapshot at or above it still resolves); under plain GC only the
         current snapshot."""
         if not self.gc_old_versions or as_of >= self.ckpt.watermark:
@@ -529,17 +530,22 @@ class SnapshotReader:
     # ------------------------------------------------------ file classes
     def served_files(self) -> set[str]:
         """Names of the state files a snapshot served under the retention
-        policy reads: the tip's, those retired but not yet purged
-        (``retain_batches``) and, with ``gc_old_versions=False``, every
-        file a committed lineage record names (time travel rebuilds its
-        pointers from them). The one classifier behind ``fsck`` and
+        policy reads: the tip's, the retirement ledger's and, if the
+        engine or the lake keeps history (``keep_history``), every file a
+        committed lineage record names (a backfill's, committed once its
+        backfill is). The one classifier behind ``fsck`` and
         ``gc_orphans``."""
+        m = self.ckpt._m
         out = {os.path.basename(f) for f in self.state_files()}
-        out |= {f for f, _ in self.ckpt._m.get("retired_files", [])}
-        if not self.gc_old_versions:
+        out |= {f for f, _ in m.get("retired_files", [])}
+        if not self.gc_old_versions or m.get("keep_history"):
             wm = self.ckpt.watermark
+            backfilled = {bf.get("watermark") for bf in self.ckpt.backfills}
             for rec in self._lineage():
-                if rec.get("kind") == "bucket" and rec["batch_id"] <= wm:
+                if rec.get("kind") == "bucket" and (
+                    rec["batch_id"] <= wm
+                    or rec.get("backfill_base") and rec.get("chain_floor") in backfilled
+                ):
                     v = rec["version"]
                     out.add(
                         gdelta_name(rec["group"], v)
@@ -549,12 +555,12 @@ class SnapshotReader:
         return out
 
     def unserved(self) -> list[str]:
-        """Parquet files in the lake root that no served snapshot reads."""
-        on_disk = {
-            os.path.basename(p)
-            for p in glob.glob(os.path.join(self.lake_dir, "*.parquet"))
-        }
-        return sorted(on_disk - self.served_files())
+        """State files in the lake root that no served snapshot reads."""
+        served = self.served_files()
+        return sorted(
+            f for f in os.listdir(self.lake_dir)
+            if STATE_FILE_RE.match(f) and f not in served
+        )
 
     def fsck(self) -> dict:
         """Metadata-only integrity check: every file the tip references

@@ -311,6 +311,44 @@ def test_read_live_matches_probe_over_evolved_chain(tmp_path):
         assert read_live(spec, evolved, src, cols, where).sort_by(by_key).equals(hits)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_in_with_none_matches_no_null(mode, tmp_path):
+    """Null never matches any op, ``in`` with ``None`` in its value set
+    included, whether a bucket is one file (that predates the evolved
+    column, or holds nulls in it) or a chain: ``scan`` returns exactly
+    the rows of ``final_dataset`` whose value is in the non-null part of
+    the set."""
+    import pyarrow.compute as pc
+    import ray
+
+    ev = str(tmp_path / "events")
+    os.makedirs(ev)
+    _batch(ev, 0, [("INSERT", i, 100 + i) for i in range(30)])
+    eng = ReplayEngine(repo_file_spec(num_buckets=NB), str(tmp_path / "lake"),
+                       state_mode=mode, fold_threshold=100)
+    eng.replay(ev)
+    eng.compact()
+    # key 0's bucket: one file with a null size_bytes column (rewrite)
+    # or a pre-evolution base under a one-entry chain (delta); the other
+    # buckets are one file written before the evolution
+    _batch(ev, 1, [("UPDATE", 0, 200)], evolved=True)
+    eng.replay(ev)
+    src = SnapshotReader.of(eng).resolve()[_bucket(_key(0))]
+    assert len(src.chain) == (mode == "delta")
+    live = pa.concat_tables(ray.get(eng.final_dataset().to_arrow_refs()))
+    assert pc.sum(pc.is_null(live["size_bytes"])).as_py() == 29
+    for vals in ([None, 2000], [None], [2000, 7]):
+        parts = list(eng.scan([("size_bytes", "in", vals)])
+                     .iter_batches(batch_format="pyarrow"))
+        got = sum(t.num_rows for t in parts)
+        hits = [v for v in vals if v is not None]
+        want = live.filter(
+            pc.is_in(live["size_bytes"], value_set=pa.array(hits, pa.int64()),
+                     skip_nulls=True)
+        ).num_rows
+        assert got == want == (1 if hits else 0), vals
+
+
 @pytest.fixture
 def wide_arrow_pools():
     """Widen Arrow's pools as a fresh process on a many-core host has
