@@ -43,6 +43,7 @@ from glue_etl_pipeline_ray.state.lease import with_writer_lease
 from glue_etl_pipeline_ray.state.snapshot import (
     SnapshotReader,
     Source,
+    file_identity,
     read_state,
 )
 
@@ -946,7 +947,7 @@ class Maintenance:
             st = os.stat(path)
         except FileNotFoundError:
             return []
-        ident = (st.st_ino, st.st_mtime_ns, st.st_size)
+        ident = file_identity(st)
         cache = getattr(self, "_filter_cache", None)
         if cache is None or cache[0] != ident:
             with open(path) as fh:

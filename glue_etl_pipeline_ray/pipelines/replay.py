@@ -73,6 +73,7 @@ from glue_etl_pipeline_ray.state.checkpoint import CheckpointManager
 from glue_etl_pipeline_ray.state.lease import with_writer_lease
 from glue_etl_pipeline_ray.state.lineage import write_lineage
 from glue_etl_pipeline_ray.state.snapshot import (  # noqa: F401  (_where_mask: re-exported)
+    LOOKUP_CACHE,
     SnapshotReader,
     where_mask as _where_mask,
 )
@@ -185,6 +186,7 @@ class ReplayEngine(Maintenance, Dml):
         self.lease_ttl_s = lease_ttl_s
         self._active_lease = None
         self._last_read_stats = None
+        self._last_lookup_stats = None
         os.makedirs(lake_dir, exist_ok=True)
         self.ckpt = CheckpointManager(lake_dir)
 
@@ -536,8 +538,10 @@ class ReplayEngine(Maintenance, Dml):
         run-report the reference surfaces through its workflow metrics,
         assembled from the same per-batch manifests the engine already
         commits (no data reads), plus ``last_read``: the counters of this
-        engine's latest snapshot read, maintenance rewrite or DML (None
-        before the first)."""
+        engine's latest snapshot read, maintenance rewrite or DML, and
+        ``last_lookup``: those of its latest :meth:`lookup`, with the
+        process-wide lookup cache's in ``"cache"`` (each None before the
+        first)."""
         from glue_etl_pipeline_ray.state.lineage import read_lineage
 
         per_batch = {}
@@ -574,6 +578,10 @@ class ReplayEngine(Maintenance, Dml):
             # opened, rows returned (state rows read by a maintenance or
             # DML map), Ray tasks launched
             "last_read": self._last_read_stats,
+            # buckets touched and skipped, files/bytes opened, bytes of
+            # column chunks needed and of those served from memory, and
+            # the lookup cache's hits/misses/bytes held/evictions
+            "last_lookup": self._last_lookup_stats,
         }
 
     @with_writer_lease
@@ -601,9 +609,14 @@ class ReplayEngine(Maintenance, Dml):
         prunes the source dirs. Rows are seq-deduplicated so repeated
         crashes never inflate the redrive batch.
 
-        Note: the redrive batch consumes the next id in the single
-        checkpoint sequence (single-writer engine) — run it between
-        ingest runs, not concurrently with one.
+        Batch ids collide: the redrive batch takes ``watermark + 1``,
+        the id the change stream ships next, and ``replay()`` skips every
+        batch id at or below the watermark as already committed. So the
+        stream's own batch of that id is never applied once a redrive
+        took it — a redrive between two ingest runs loses the next
+        stream batch. Run it only after the stream's last batch has been
+        replayed (or on a lake whose stream ids leave a gap). Never run
+        it concurrently with an ingest run (single-writer engine).
         """
         # self-heal: a crash between a redrive COMMIT and its cleanup
         # leaves the consumed staging file behind; sweep any staging
@@ -694,7 +707,10 @@ class ReplayEngine(Maintenance, Dml):
         (``SnapshotReader.probe``) — I/O proportional to those buckets'
         keys, independent of table size. The index is the layout itself; no
         secondary structure to maintain (the auditor's "what happened to
-        key X" query, at serving cost).
+        key X" query, at serving cost). Footers and decoded column chunks
+        are kept in a bounded process-wide cache keyed on each file's
+        identity (``snapshot.LOOKUP_CACHE``), so a file is decoded once,
+        not once per lookup.
 
         ``keys``: iterable of key tuples (scalars accepted for
         single-column keys). Returns live rows in canonical layout,
@@ -748,6 +764,7 @@ class ReplayEngine(Maintenance, Dml):
             "buckets_skipped": skipped,
             **r.stats,
             **cost,
+            "cache": LOOKUP_CACHE.counters(),
         }
         if not parts:
             # projected schema, same as the non-empty path

@@ -32,13 +32,21 @@ same contiguous groups, one task per group.
 Each reader counts what it read in ``stats``: ``files`` and ``bytes``
 (distinct files opened and their on-disk size), ``rows`` returned (state
 rows read, for ``map_buckets``) and Ray ``tasks`` launched.
+
+Point lookups open their files through :data:`LOOKUP_CACHE`, a bounded
+LRU of footers and decoded column chunks in the driver process, keyed on
+each file's identity: a state file never changes after its rename into
+place, so a chunk decoded once serves every later lookup of that file.
+No other read uses it, so it never fills in a Ray worker.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import threading
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -72,6 +80,12 @@ STATE_FILE_RE = re.compile(r"(?:part|gdelta)-(\d+)-v(\d+)\.parquet$")
 # for about 0.5 s and keeps the fixed cost near 2%. Lakes smaller than
 # CPUs x budget get one group per CPU instead.
 GROUP_BYTES = 32 << 20
+
+# Bytes the driver's point-lookup cache (LOOKUP_CACHE) may hold: decoded
+# column chunks, charged what their decode allocated, plus footers. The
+# 64 bucket files of the benchmark's 30k-row read lake decode to about
+# 16 MB, so a lake several times its size is served from memory.
+LOOKUP_CACHE_BYTES = 64 << 20
 
 SCAN_OPS = ("==", "!=", "<", "<=", ">", ">=", "in")
 
@@ -246,43 +260,212 @@ def diff_live(spec, evolved, old: Source | None, new: Source | None,
     )
 
 
-def _probe_files(src: Source, where=()) -> list[tuple[pq.ParquetFile, list[int]]]:
+def _probe_files(src: Source, where=(), open_file=pq.ParquetFile
+                 ) -> list[tuple[pq.ParquetFile, list[int]]]:
     """The files of ``src`` in fold order, each open with the row groups
     that hold the bucket: the base file's (for a one-file source, those
     :func:`_row_groups` keeps for ``where``), and the bucket's one group
     in each chain file that has it. The one place a bucket's state files
-    are opened."""
+    are opened, by ``open_file(path)`` (point lookups: through the
+    lookup cache)."""
     out = []
     if src.base is not None:
-        pf = pq.ParquetFile(os.path.join(src.lake_dir, part_name(src.bucket, src.base)))
+        pf = open_file(os.path.join(src.lake_dir, part_name(src.bucket, src.base)))
         # a chain's base may hold stale versions that match: never pruned
         out.append((pf, _row_groups(pf, () if src.chain else where)))
     for v, g in src.chain:
-        pf = pq.ParquetFile(os.path.join(src.lake_dir, gdelta_name(g, v)))
+        pf = open_file(os.path.join(src.lake_dir, gdelta_name(g, v)))
         idx = gdelta_row_group(pf, src.bucket)
         if idx is not None:
             out.append((pf, [idx]))
     return out
 
 
-def _read_groups(pf, groups, columns, cost=None) -> pa.Table | None:
-    """Decode the ``columns`` a file has (a pre-evolution file lacks
-    later ones) in row ``groups``, single-threaded; None if it has none.
-    With a ``cost`` dict, adds the footer ``total_compressed_size`` of
-    the column chunks read (a nested column: all its leaves) to
-    ``cost["bytes_decoded"]``."""
+def file_identity(st: os.stat_result) -> tuple[int, int, int]:
+    """A file's identity, ``(st_ino, st_mtime_ns, st_size)``: what its
+    readers' caches key on. Files are replaced by renaming a new inode
+    over the name, so the name alone is not enough."""
+    return (st.st_ino, st.st_mtime_ns, st.st_size)
+
+
+class FileChanged(Exception):
+    """A state file is no longer the one its identity was taken of: it
+    was replaced (``compact()`` rewrites in place) between a lookup's
+    ``stat`` and its read."""
+
+
+class LookupCache:
+    """A bounded LRU of Parquet footers and decoded column chunks of
+    state files, for point lookups in the driver (:data:`LOOKUP_CACHE`).
+
+    Entries are keyed on the file's identity ``(path, (st_ino,
+    st_mtime_ns, st_size))``, a chunk also on its row group and column.
+    A state file is never changed after its rename into place, and a
+    rewrite of the same name is a new inode, so no entry can serve stale
+    data. A decode is charged the bytes it left allocated (the
+    ``pa.total_allocated_bytes()`` delta, at least its buffers' size),
+    shared among its chunks by column size times rows; a footer its
+    serialized size. Past :data:`LOOKUP_CACHE_BYTES` the least recently
+    used entries are evicted. The counters are process-wide; a lock
+    keeps them and the order whole under threads."""
+
+    def __init__(self):
+        self._d: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self.held = self.hits = self.misses = self.evictions = 0
+
+    def get(self, key):
+        with self._lock:
+            e = self._d.get(key)
+            if e is None:
+                self.misses += 1
+                return None
+            self._d.move_to_end(key)
+            self.hits += 1
+            return e[0]
+
+    def put(self, key, value, charge: int) -> None:
+        with self._lock:
+            old = self._d.pop(key, None)
+            if old is not None:
+                self.held -= old[1]
+            self._d[key] = (value, charge)
+            self.held += charge
+            while self.held > LOOKUP_CACHE_BYTES:
+                self.held -= self._d.popitem(last=False)[1][1]
+                self.evictions += 1
+
+    def clear(self) -> None:
+        with self._lock:
+            self._d.clear()
+            self.held = 0
+
+    def counters(self) -> dict:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "bytes_held": self.held, "entries": len(self._d),
+                    "evictions": self.evictions}
+
+
+LOOKUP_CACHE = LookupCache()
+
+
+class CachedFile:
+    """A state file opened through :data:`LOOKUP_CACHE`, with the
+    ``metadata`` and ``read_row_groups`` of a ``pq.ParquetFile``: column
+    chunks decoded before under the same identity (``ident``, the
+    ``stat`` a reader took; None: the file was gone) come from memory,
+    and the file is opened only for a footer or chunks not cached yet,
+    all missing chunks decoded in one call. It counts into ``cost`` the
+    footer ``total_compressed_size`` of every chunk read
+    (``bytes_decoded``) and of those served from memory
+    (``bytes_from_cache``). Raises :class:`FileChanged` if the file it
+    opens is not ``ident``."""
+
+    def __init__(self, path: str, ident: tuple | None, cost: dict):
+        self.path, self.ident, self.cost = path, ident, cost
+        self.key = (path, ident)
+        self.metadata = self._pf = None
+        entry = LOOKUP_CACHE.get(self.key)
+        if entry is None:
+            md = self._file().metadata
+            # footer, top-level column -> leaf indices, (group, column) -> bytes
+            entry = (md, _leaves(self._pf), {})
+            LOOKUP_CACHE.put(self.key, entry, md.serialized_size)
+        self.metadata, self.leaves, self._sizes = entry
+
+    def _file(self) -> pq.ParquetFile:
+        if self._pf is None:
+            pf = pq.ParquetFile(self.path, metadata=self.metadata)
+            # the file opened is ident iff the name still is (a state file
+            # is replaced by renaming a new inode over it, never back)
+            st = os.stat(self.path)
+            if file_identity(st) != self.ident:
+                pf.close()
+                raise FileChanged(self.path)
+            self._pf = pf
+        return self._pf
+
+    def close(self) -> None:
+        if self._pf is not None:
+            self._pf.close()
+
+    def _chunk_bytes(self, g: int, c: str) -> int:
+        n = self._sizes.get((g, c))
+        if n is None:
+            rg = self.metadata.row_group(g)
+            n = self._sizes[g, c] = sum(
+                rg.column(i).total_compressed_size for i in self.leaves[c]
+            )
+        return n
+
+    def read_row_groups(self, groups, columns, use_threads=False) -> pa.Table:
+        if not groups:
+            return self._file().read_row_groups([], columns=columns, use_threads=False)
+        got, need = {}, []
+        for g in groups:
+            for c in columns:
+                n = self._chunk_bytes(g, c)
+                self.cost["bytes_decoded"] += n
+                if (v := LOOKUP_CACHE.get((self.key, g, c))) is None:
+                    need.append((g, c))
+                else:
+                    got[g, c] = v
+                    self.cost["bytes_from_cache"] += n
+        if need:
+            got.update(self._decode(need))
+        if len(groups) == 1:
+            return pa.Table.from_arrays([got[groups[0], c] for c in columns], names=columns)
+        return pa.Table.from_arrays(
+            [
+                pa.chunked_array(
+                    [ch for g in groups for ch in got[g, c].chunks],
+                    got[groups[0], c].type,
+                )
+                for c in columns
+            ],
+            names=columns,
+        )
+
+    def _decode(self, need) -> dict:
+        """Decode the ``need`` chunks in one ``read_row_groups`` call
+        (every row group and column named in it), split the result by
+        row group and column, and cache the pieces. The call's bytes are
+        shared out by column size times rows."""
+        gs = list(dict.fromkeys(g for g, _ in need))
+        cs = list(dict.fromkeys(c for _, c in need))
+        before = pa.total_allocated_bytes()
+        t = self._file().read_row_groups(gs, columns=cs, use_threads=False)
+        cols = [t.column(c) for c in cs]
+        sizes = [col.get_total_buffer_size() + 1 for col in cols]
+        held = max(pa.total_allocated_bytes() - before, sum(sizes))
+        rows = [self.metadata.row_group(g).num_rows for g in gs]
+        per = held / (sum(sizes) * (sum(rows) + len(rows)))
+        out = {}
+        for g, off, n in zip(gs, accumulate([0] + rows), rows):
+            for c, col, size in zip(cs, cols, sizes):
+                out[g, c] = col if len(gs) == 1 else col.slice(off, n)
+                LOOKUP_CACHE.put((self.key, g, c), out[g, c], int(per * size * (n + 1)))
+        return out
+
+
+def _leaves(pf) -> dict[str, list[int]]:
+    """Each top-level column of an open file -> its leaf column indices
+    in the footer (a nested column has several)."""
     md = pf.metadata
-    tops = [md.schema.column(i).path.split(".")[0] for i in range(md.num_columns)]
-    have = [c for c in columns if c in tops]
+    out: dict[str, list[int]] = {}
+    for i in range(md.num_columns):
+        out.setdefault(md.schema.column(i).path.split(".")[0], []).append(i)
+    return out
+
+
+def _read_groups(pf, groups, columns) -> pa.Table | None:
+    """Decode the ``columns`` a file has (a pre-evolution file lacks
+    later ones) in row ``groups``, single-threaded; None if it has none."""
+    leaves = pf.leaves if isinstance(pf, CachedFile) else _leaves(pf)
+    have = [c for c in columns if c in leaves]
     if not have:
         return None
-    if cost is not None:
-        cost["bytes_decoded"] += sum(
-            md.row_group(g).column(i).total_compressed_size
-            for g in groups
-            for i, c in enumerate(tops)
-            if c in have
-        )
     return pf.read_row_groups(groups, columns=have, use_threads=False)
 
 
@@ -300,7 +483,7 @@ def _materialize(pf, groups, keys_t, rows, payload, cost) -> pa.Table:
     for p in sorted(set(pos)):
         shift[p] = kept - (ends[p] - sizes[p])
         kept += sizes[p]
-    got = _read_groups(pf, [groups[p] for p in shift], payload, cost)
+    got = _read_groups(pf, [groups[p] for p in shift], payload)
     if got is None:
         return t
     cost["payload_files"] += 1
@@ -400,6 +583,7 @@ class SnapshotReader:
         self.gc_old_versions = gc_old_versions
         self.retain_batches = retain_batches
         self.stats = {"files": 0, "bytes": 0, "rows": 0, "tasks": 0}
+        self.idents: dict[str, tuple] = {}
         self._recs = None
 
     @classmethod
@@ -635,15 +819,24 @@ class SnapshotReader:
             n = 0
             for path in (p for src in _sources(unit) for p in src.files()):
                 if path not in seen:
-                    try:
-                        seen[path] = os.path.getsize(path)
-                    except OSError:  # the read itself reports it
-                        seen[path] = 0
+                    seen[path] = self._stat(path)
                 n += seen[path]
             sizes.append(n)
         self.stats["files"] += len(seen)
         self.stats["bytes"] += sum(seen.values())
         return sizes
+
+    def _stat(self, path: str) -> int:
+        """The on-disk size of ``path`` (0 if it is gone: the read itself
+        reports it). Its :func:`file_identity` goes to ``idents``, the key
+        a lookup's reads are cached under."""
+        try:
+            st = os.stat(path)
+        except OSError:
+            self.idents.pop(path, None)
+            return 0
+        self.idents[path] = file_identity(st)
+        return st.st_size
 
     def _dispatch(self, task, units: list, sizes: list[int], *args) -> list:
         groups = plan_groups(sizes, _cpus())
@@ -758,27 +951,48 @@ class SnapshotReader:
         ``keys`` (string tuples) by exact equality, and pick each key's
         winner by max ``__seq``, ties to the later file as the fold does.
         Payload columns are decoded only from the files holding a live
-        winner, and only in the row groups holding one.
+        winner, and only in the row groups holding one. Files are opened
+        through :data:`LOOKUP_CACHE`, under the identity :meth:`_count`
+        took; a file replaced since is stat-ed again and its bucket
+        probed again.
 
         Returns the live rows (``cols``, canonical types) and
-        ``{"bytes_decoded", "payload_files"}``: the footer
-        ``total_compressed_size`` of every column chunk read, and the
-        files whose payload was decoded."""
+        ``{"bytes_decoded", "payload_files", "bytes_from_cache"}``: the
+        footer ``total_compressed_size`` of every column chunk the lookup
+        needed, the files whose payload it needed (from memory or disk
+        alike), and the part of ``bytes_decoded`` served from memory."""
         kc = list(self.spec.key_cols)
         payload = [c for c in cols if c not in kc]
         schema = live_schema(self.spec, evolved, cols)
         self._count(srcs.values())
-        cost = {"bytes_decoded": 0, "payload_files": 0}
+        cost = {"bytes_decoded": 0, "payload_files": 0, "bytes_from_cache": 0}
         out = []
         for b, src in srcs.items():
-            want = set(keys[b])
-            values = [pa.array(sorted({k[i] for k in want}), pa.string())
-                      for i in range(len(kc))]
-            # each requested key's (seq, file, row, deleted) winner so far
-            best: dict[tuple, tuple] = {}
-            files = []
-            for fi, (pf, groups) in enumerate(_probe_files(src)):
-                t = _read_groups(pf, groups, kc + [SEQ_COL, DELETED_COL], cost)
+            before = dict(cost)
+            try:
+                out += self._probe_bucket(src, keys[b], kc, payload, schema, cost)
+            except FileChanged as e:  # replaced since the stat: once more
+                cost.update(before)
+                self._stat(e.args[0])
+                out += self._probe_bucket(src, keys[b], kc, payload, schema, cost)
+        self.stats["rows"] += sum(p.num_rows for p in out)
+        return out, cost
+
+    def _probe_bucket(self, src, keys, kc, payload, schema, cost) -> list[pa.Table]:
+        want = set(keys)
+        values = [pa.array(sorted({k[i] for k in want}), pa.string())
+                  for i in range(len(kc))]
+        # each requested key's (seq, file, row, deleted) winner so far
+        best: dict[tuple, tuple] = {}
+        files, opened = [], []
+
+        def open_file(path):
+            opened.append(CachedFile(path, self.idents.get(path), cost))
+            return opened[-1]
+
+        try:
+            for fi, (pf, groups) in enumerate(_probe_files(src, open_file=open_file)):
+                t = _read_groups(pf, groups, kc + [SEQ_COL, DELETED_COL])
                 files.append((pf, groups, t))
                 if t.num_rows == 0:  # a bucket compacted to nothing
                     continue
@@ -798,12 +1012,15 @@ class SnapshotReader:
             for _, fi, row, dead in best.values():
                 if not dead:
                     live.setdefault(fi, []).append(row)
+            out = []
             for fi, rows in sorted(live.items()):
                 pf, groups, t = files[fi]
                 t = _materialize(pf, groups, t.select(kc), rows, payload, cost)
                 out.append(conform(t, schema))
-        self.stats["rows"] += sum(p.num_rows for p in out)
-        return out, cost
+            return out
+        finally:
+            for pf in opened:
+                pf.close()
 
     # ---------------------------------------------------------- assembly
     @staticmethod

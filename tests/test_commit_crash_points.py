@@ -272,3 +272,59 @@ def test_default_policy_gc_keeps_a_keep_history_lakes_history(
     eng = _engine(lake, sink, kw, "keep")
     for as_of in range(N_BATCHES):
         assert eng.final_sha256(as_of=as_of) == prefix[as_of], as_of
+
+
+@pytest.mark.parametrize("policy", ["gc", "retain2"])
+@pytest.mark.parametrize("sink", ["rewrite", "delta"])
+def test_crash_at_every_backfill_step_ends_at_the_oracle(
+    ray_session, tmp_path, monkeypatch, stream, sink, policy
+):
+    """``backfill`` writes its lineage file before its manifest write
+    (``_commit_backfill``). A crash before any of its steps, then a
+    resume that re-runs the backfill if it did not commit, or one that
+    never re-runs it, ends at the oracle after the remaining batch. The
+    transform returns its rows unchanged, so the stream's prefix
+    oracles hold on both sides of the backfill."""
+    events, prefix = stream
+    template = str(tmp_path / "template")
+    _engine(template, sink, {}, policy).replay(events, max_batches=N_BATCHES - 1)
+    wm = N_BATCHES - 2
+
+    def run_step(crash_at, lake):
+        shutil.copytree(template, lake)
+        eng = _engine(lake, sink, {}, policy)
+        with monkeypatch.context() as mp:
+            rec = Commits(mp, "_commit_backfill", crash_at)
+            mp.setattr(ReplayEngine, "_commit_backfill", rec._scope(
+                "_commit_backfill", ReplayEngine._commit_backfill))
+            try:
+                eng.backfill(lambda t: t)
+            except Crash:
+                assert crash_at is not None
+            else:
+                assert crash_at is None
+        return rec
+
+    dry = run_step(None, str(tmp_path / "dry"))
+    assert dry.writes == [1], dry.writes
+    assert dry.steps[0] == ("replace", f"batch={wm:05d}_backfill.jsonl"), dry.steps
+    assert ("replace", "manifest.json") in dry.steps, dry.steps
+    for k in _crash_points(dry.steps):
+        for rerun in (True, False):
+            lake = str(tmp_path / f"lake{k}-{rerun}")
+            run_step(k, lake)
+            eng = _engine(lake, sink, {}, policy)
+            committed = wm in {bf.get("watermark") for bf in eng.ckpt.backfills}
+            what = (sink, policy, dry.steps[k - 1], rerun, committed)
+            if rerun and not committed:
+                eng.backfill(lambda t: t)
+            eng.replay(events)
+            eng.gc_orphans()
+            eng = _engine(lake, sink, {}, policy)
+            assert eng.ckpt.watermark == N_BATCHES - 1, what
+            assert eng.final_sha256() == prefix[N_BATCHES - 1], what
+            fsck = eng.fsck()
+            assert fsck["ok"] and fsck["orphans"] == [], (what, fsck)
+            lo = {"gc": N_BATCHES - 1, "retain2": N_BATCHES - 3}[policy]
+            for as_of in range(lo, N_BATCHES):
+                assert eng.final_sha256(as_of=as_of) == prefix[as_of], (what, as_of)
